@@ -18,7 +18,6 @@ from typing import Sequence, TextIO
 from . import analysis, corpus
 from .expressions import Expression, ParseError, parse
 from .solvers import (
-    DEFAULT_DELTA_REL,
     Converged,
     DerivativeStall,
     Diverged,
@@ -74,31 +73,27 @@ def _describe(outcome) -> str:
 
 
 def trace_rows(trace: Trace, reference_root: float | None) -> list[dict]:
-    """Per-iteration cells in TRACE_COLUMNS order; None marks a blank."""
-    ck: list[float | None] = [None] * len(trace.records)
-    errors: tuple[float, ...] | None = None
+    """Per-iteration cells in TRACE_COLUMNS order; NaN marks a blank."""
+    abs_errors = ck = (math.nan,) * len(trace.records)
     if reference_root is not None:
         sequence = analysis.error_sequence(trace, reference_root)
-        errors = sequence.errors
-        if len(errors) >= 2:
-            report = analysis.ck_sequence(sequence)
-            for i, (value, ok) in enumerate(zip(report.ck, report.valid_mask)):
-                if ok:
-                    ck[i] = value
-    rows = []
-    for i, rec in enumerate(trace.records):
-        rows.append(
-            {
-                "k": rec.k,
-                "x": rec.x,
-                "y": rec.y,
-                "dy": rec.dy,
-                "r_weight": rec.r_weight,
-                "abs_error": abs(errors[i]) if errors is not None else math.nan,
-                "ck": ck[i] if ck[i] is not None else math.nan,
-            }
-        )
-    return rows
+        abs_errors = [abs(e) for e in sequence.errors]
+        if len(abs_errors) >= 2:
+            # ck is NaN where the validity filter rejected a pair; the last
+            # record starts no pair
+            ck = analysis.ck_sequence(sequence).ck + (math.nan,)
+    return [
+        {
+            "k": rec.k,
+            "x": rec.x,
+            "y": rec.y,
+            "dy": rec.dy,
+            "r_weight": rec.r_weight,
+            "abs_error": abs_error,
+            "ck": c,
+        }
+        for rec, abs_error, c in zip(trace.records, abs_errors, ck)
+    ]
 
 
 def _write_trace_csv(rows: list[dict], out: TextIO) -> None:
@@ -127,14 +122,13 @@ def _comparison(outcome, iterations: int, expected: corpus.ExpectedResult | None
 # --- argument plumbing -------------------------------------------------------
 
 
-def _add_selection_args(p: argparse.ArgumentParser, with_x0: bool = True) -> None:
+def _add_selection_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--expr", help="expression text in the variable x")
     p.add_argument("--problem", help="name of a builtin (or --problems file) problem")
     p.add_argument("--problems", help="JSON problem file adding lookup names for --problem")
     p.add_argument("--method", required=True, choices=[m.value for m in Method])
-    if with_x0:
-        p.add_argument("--x0", type=float, required=True)
-        p.add_argument("--x1", type=float)
+    p.add_argument("--x0", type=float, required=True)
+    p.add_argument("--x1", type=float)
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iter", type=int, dest="max_iter")
     p.add_argument("--seed", choices=["perturb", "guarded-newton"], default="perturb")
@@ -149,9 +143,8 @@ def _build_config(args) -> SolverConfig:
         kwargs["max_iter"] = args.max_iter
     if args.seed == "guarded-newton":
         kwargs["seed_strategy"] = GuardedNewton()
-    else:
-        delta = args.delta if args.delta is not None else DEFAULT_DELTA_REL
-        kwargs["seed_strategy"] = Perturb(delta)
+    elif args.delta is not None:
+        kwargs["seed_strategy"] = Perturb(args.delta)
     return SolverConfig(**kwargs)
 
 
@@ -175,13 +168,15 @@ def _select(args) -> tuple[Expression, float | None, str]:
 
 
 def _cmd_solve(args) -> int:
+    """``solve``, and ``trace``, which is ``solve --format csv`` plus ``--out``."""
     expression, root, label = _select(args)
     config = _build_config(args)
     if args.x1 is not None and args.x1 == args.x0:
         raise _UsageError("--x1 must differ from --x0")
     trace = solve(expression, Method(args.method), args.x0, config, args.x1)
     outcome = trace.outcome
-    rows = trace_rows(trace, root)
+    if args.format == "csv" or (args.format == "json" and args.verbose):
+        rows = trace_rows(trace, root)
     if args.format == "json":
         payload = {
             "problem": label,
@@ -195,7 +190,11 @@ def _cmd_solve(args) -> int:
             payload["records"] = [{k: (v if k == "k" else _json_num(v)) for k, v in row.items()} for row in rows]
         print(json.dumps(payload))
     elif args.format == "csv":
-        _write_trace_csv(rows, sys.stdout)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                _write_trace_csv(rows, fh)
+        else:
+            _write_trace_csv(rows, sys.stdout)
         print(_describe(outcome), file=sys.stderr)
     else:
         print(f"problem:    {label}")
@@ -212,22 +211,6 @@ def _cmd_solve(args) -> int:
                 cells = [_num(v).ljust(24) for v in (rec.x, rec.y, rec.dy)]
                 print(f"  {rec.k:>3d}  " + "".join(cells) + _num(rec.r_weight))
     return 0 if isinstance(outcome, Converged) else 2
-
-
-def _cmd_trace(args) -> int:
-    expression, root, label = _select(args)
-    config = _build_config(args)
-    if args.x1 is not None and args.x1 == args.x0:
-        raise _UsageError("--x1 must differ from --x0")
-    trace = solve(expression, Method(args.method), args.x0, config, args.x1)
-    rows = trace_rows(trace, root)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _write_trace_csv(rows, fh)
-    else:
-        _write_trace_csv(rows, sys.stdout)
-    print(_describe(trace.outcome), file=sys.stderr)
-    return 0 if isinstance(trace.outcome, Converged) else 2
 
 
 _BENCH_METHODS = (Method.SECANT, Method.NEWTON, Method.TWO_POINT)
@@ -301,7 +284,7 @@ def _make_parser() -> _ArgumentParser:
     _add_selection_args(p_solve)
     p_solve.add_argument("--format", choices=["table", "json", "csv"], default="table")
     p_solve.add_argument("--verbose", action="store_true")
-    p_solve.set_defaults(func=_cmd_solve)
+    p_solve.set_defaults(func=_cmd_solve, out=None)
 
     p_bench = sub.add_parser("bench", help="run the builtin benchmark tables")
     p_bench.add_argument("--table", choices=["1", "2", "all"], default="all")
@@ -312,7 +295,7 @@ def _make_parser() -> _ArgumentParser:
     p_trace = sub.add_parser("trace", help="emit per-iteration CSV for one run")
     _add_selection_args(p_trace)
     p_trace.add_argument("--out")
-    p_trace.set_defaults(func=_cmd_trace)
+    p_trace.set_defaults(func=_cmd_solve, format="csv", verbose=False)
 
     return parser
 
@@ -328,6 +311,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SeedingError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # the recursive-descent parser gives out on deeply nested input
+        print("error: expression nested too deeply", file=sys.stderr)
+        return 1
     except (ParseError, KeyError, corpus.ProblemFileError, ValueError, OSError) as err:
         message = err.args[0] if isinstance(err, KeyError) and err.args else err
         print(f"error: {message}", file=sys.stderr)

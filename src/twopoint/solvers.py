@@ -21,11 +21,10 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence, Union
 
-from .expressions import DomainError, Dual, Expression, eval_dual
+from .expressions import DomainError, Expression, eval_dual
 
 __all__ = [
     "Converged",
-    "CoincidentPointsError",
     "DegenerateSlopeError",
     "DerivativeStall",
     "Diverged",
@@ -53,7 +52,17 @@ __all__ = [
 _NAN = math.nan
 
 DEFAULT_DELTA_REL = 1e-4
-DEFAULT_SEP_EPSILON = 1e-300
+# |x| beyond this bound classifies a run as diverged
+DIVERGENCE_BOUND = 1e12
+# points closer than this have no usable slope between them
+SEP_EPSILON = 1e-300
+# a cycle of period 2..CYCLE_PERIOD_MAX repeats x within
+# CYCLE_TOL_REL * max(1, |x|); it is looked for from record CYCLE_MIN_ITERS on
+CYCLE_PERIOD_MAX = 4
+CYCLE_TOL_REL = 1e-9
+CYCLE_MIN_ITERS = 20
+# GuardedNewton halves its seeding step at most this many times
+MAX_HALVINGS = 40
 
 
 class Method(Enum):
@@ -71,9 +80,12 @@ class Perturb:
 
 @dataclass(frozen=True)
 class GuardedNewton:
-    """Seed with a Newton step from x0, halving it until it stays in-domain."""
+    """Seed with a Newton step from x0, halving it until it stays in-domain.
 
-    max_halvings: int = 40
+    When no halved step does, seed as ``Perturb()`` would.
+    """
+
+    delta_rel = DEFAULT_DELTA_REL  # a class constant, not a field
 
 
 SeedStrategy = Union[Perturb, GuardedNewton]
@@ -81,30 +93,22 @@ SeedStrategy = Union[Perturb, GuardedNewton]
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Stopping tolerance, step budget and seeding of one run.
+
+    The classification thresholds are module constants: DIVERGENCE_BOUND,
+    SEP_EPSILON, CYCLE_PERIOD_MAX, CYCLE_TOL_REL and CYCLE_MIN_ITERS, and
+    MAX_HALVINGS for :class:`GuardedNewton`.
+    """
+
     tol: float = 1e-15
     max_iter: int = 1000
-    divergence_bound: float = 1e12
     seed_strategy: SeedStrategy = Perturb()
-    sep_epsilon: float = DEFAULT_SEP_EPSILON
-    cycle_period_max: int = 4
-    cycle_tol_rel: float = 1e-9
-    cycle_min_iters: int = 20
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError("tol must be finite and positive")
         if self.max_iter < 2:
             raise ValueError("max_iter must be at least 2")
-        if not (math.isfinite(self.divergence_bound) and self.divergence_bound > 1.0):
-            raise ValueError("divergence_bound must be finite and > 1")
-        for name in ("sep_epsilon", "cycle_tol_rel"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be finite and positive")
-
-    def nudge_delta(self) -> float:
-        strat = self.seed_strategy
-        return strat.delta_rel if isinstance(strat, Perturb) else DEFAULT_DELTA_REL
 
 
 @dataclass(frozen=True)
@@ -167,27 +171,23 @@ class Trace:
     @property
     def iterations(self) -> int:
         """Step-formula applications performed (seed points are not steps)."""
-        last = self.records[-1].k
-        return last if self.method is Method.NEWTON else max(last - 1, 0)
+        return _steps(self.records[-1].k, self.method)
+
+
+def _steps(last_k: int, method: Method) -> int:
+    """Steps taken up to record ``last_k``; seed points are not steps."""
+    return last_k if method is Method.NEWTON else max(last_k - 1, 0)
 
 
 class SeedingError(ValueError):
     """Both seeding strategies produced out-of-domain second points."""
 
 
-class StepError(ValueError):
-    pass
-
-
-class DegenerateSlopeError(StepError):
+class DegenerateSlopeError(ValueError):
     """Secant slope undefined: equal ordinates or coincident points."""
 
 
-class CoincidentPointsError(StepError):
-    """Two-point step needs |x_cur - x_prev| >= sep_epsilon."""
-
-
-class PrevPointIsRootError(StepError):
+class PrevPointIsRootError(ValueError):
     """Two-point step needs y_prev != 0."""
 
 
@@ -208,31 +208,22 @@ def newton_step(x: float, y: float, dy: float) -> float:
     return x - ieee_div(y, dy)
 
 
-def secant_step(
-    x_prev: float, y_prev: float, x_cur: float, y_cur: float, sep_epsilon: float = DEFAULT_SEP_EPSILON
-) -> float:
-    if abs(x_cur - x_prev) < sep_epsilon or y_cur == y_prev:
+def secant_step(x_prev: float, y_prev: float, x_cur: float, y_cur: float) -> float:
+    if abs(x_cur - x_prev) < SEP_EPSILON or y_cur == y_prev:
         raise DegenerateSlopeError(f"secant slope degenerate between x={x_prev!r} and x={x_cur!r}")
     return x_cur - y_cur * (x_cur - x_prev) / (y_cur - y_prev)
 
 
-def twopoint_step(
-    x_prev: float,
-    y_prev: float,
-    x_cur: float,
-    y_cur: float,
-    dy_cur: float,
-    sep_epsilon: float = DEFAULT_SEP_EPSILON,
-) -> tuple[float, float]:
+def twopoint_step(x_prev: float, y_prev: float, x_cur: float, y_cur: float, dy_cur: float) -> tuple[float, float]:
     """One two-point update; returns (x_next, r).
 
     dy_cur may be 0 or infinite: r then lands on +/-inf or 1 and the step
     degenerates gracefully to x_prev or x_cur per the weight identity.
+    x_cur must differ from x_prev; :func:`solve` takes a Newton step
+    instead when they are closer than SEP_EPSILON.
     """
     if y_prev == 0.0:
         raise PrevPointIsRootError(f"previous ordinate is zero at x={x_prev!r}")
-    if abs(x_cur - x_prev) < sep_epsilon:
-        raise CoincidentPointsError(f"points x={x_prev!r} and x={x_cur!r} coincide")
     if y_cur == 0.0:
         return x_cur, 1.0
     slope = (y_cur - y_prev) / (x_cur - x_prev)
@@ -252,23 +243,19 @@ def _eval_ok(expr: Expression, x: float) -> bool:
 
 def seed_second_point(expr: Expression, x0: float, config: SolverConfig | None = None) -> float:
     """Pick the second starting point for the two-seed methods."""
-    config = config or SolverConfig()
-    strat = config.seed_strategy
-    delta = DEFAULT_DELTA_REL
+    strat = (config or SolverConfig()).seed_strategy
     if isinstance(strat, GuardedNewton):
         d0 = eval_dual(expr, x0)
         if d0.deriv != 0.0 and math.isfinite(d0.deriv):
             step = ieee_div(d0.value, d0.deriv)
             t = 1.0
-            for _ in range(strat.max_halvings):
+            for _ in range(MAX_HALVINGS):
                 cand = x0 - t * step
                 if cand != x0 and _eval_ok(expr, cand):
                     return cand
                 t *= 0.5
         # fall through to a plain perturbation
-    else:
-        delta = strat.delta_rel
-    x1 = x0 + delta * max(1.0, abs(x0))
+    x1 = x0 + strat.delta_rel * max(1.0, abs(x0))
     if _eval_ok(expr, x1):
         return x1
     raise SeedingError(f"no in-domain second point near x0={x0!r}")
@@ -281,11 +268,6 @@ def _converged(records: Sequence[IterationRecord], tol: float) -> bool:
     if len(records) < 2:
         return False
     return abs(rec.x - records[-2].x) + abs(rec.y) < tol
-
-
-def _step_count(records: Sequence[IterationRecord], method: Method) -> int:
-    last = records[-1].k
-    return last if method is Method.NEWTON else max(last - 1, 0)
 
 
 def classify(
@@ -303,14 +285,14 @@ def classify(
     """
     rec = records[-1]
     if _converged(records, config.tol):
-        return Converged(rec.x, _step_count(records, method))
+        return Converged(rec.x, _steps(rec.k, method))
     if domain_error is not None:
         return DomainFailure(rec.k + 1, str(domain_error))
-    if not math.isfinite(rec.x) or abs(rec.x) > config.divergence_bound:
+    if not math.isfinite(rec.x) or abs(rec.x) > DIVERGENCE_BOUND:
         return Diverged(rec.x)
     if method is Method.NEWTON and rec.dy == 0.0 and rec.y != 0.0:
         return DerivativeStall(rec.k + 1)
-    osc = _oscillation(records, config)
+    osc = _oscillation(records)
     if osc is not None:
         return osc
     if steps_exhausted:
@@ -318,28 +300,27 @@ def classify(
     return None
 
 
-def _oscillation(records: Sequence[IterationRecord], config: SolverConfig) -> Oscillating | None:
+def _oscillation(records: Sequence[IterationRecord]) -> Oscillating | None:
     k = records[-1].k
-    if k < config.cycle_min_iters:
+    if k < CYCLE_MIN_ITERS:
         return None
-    xs = [rec.x for rec in records]
+    # k >= CYCLE_MIN_ITERS > CYCLE_PERIOD_MAX + 1, so every lag below is in range
+    x, x_prev = records[-1].x, records[-2].x
 
-    def ctol(x: float) -> float:
-        return config.cycle_tol_rel * max(1.0, abs(x))
+    def ctol(v: float) -> float:
+        return CYCLE_TOL_REL * max(1.0, abs(v))
 
     # A genuine cycle keeps moving while near-repeating at lag p; requiring
     # a non-shrinking movement rejects slow (possibly sign-alternating)
     # convergence, whose lag-p differences also drop below any tolerance.
-    move = abs(xs[-1] - xs[-2])
-    if move <= ctol(xs[-1]):
+    move = abs(x - x_prev)
+    if move <= ctol(x):
         return None
-    for p in range(2, config.cycle_period_max + 1):
-        if k - p - 1 < 0:
+    for p in range(2, CYCLE_PERIOD_MAX + 1):
+        lag, lag_prev = records[-1 - p].x, records[-2 - p].x
+        if move < 0.75 * abs(lag - lag_prev):
             continue
-        prior_move = abs(xs[-1 - p] - xs[-2 - p])
-        if move < 0.75 * prior_move:
-            continue
-        if abs(xs[-1] - xs[-1 - p]) <= ctol(xs[-1]) and abs(xs[-2] - xs[-2 - p]) <= ctol(xs[-2]):
+        if abs(x - lag) <= ctol(x) and abs(x_prev - lag_prev) <= ctol(x_prev):
             return Oscillating(p)
     return None
 
@@ -354,50 +335,42 @@ def solve(
     """Iterate ``method`` from x0 (and x1 for the two-seed methods).
 
     Terminates as converged when |x_k - x_{k-1}| + |y_k| < tol, otherwise
-    through :func:`classify`.  x1 is ignored for Newton and seeded per the
-    configured strategy when absent.
+    through :func:`classify`, whose thresholds are DIVERGENCE_BOUND and the
+    CYCLE_* constants.  x1 is ignored for Newton and seeded per the
+    configured strategy when absent.  A two-point step between points
+    closer than SEP_EPSILON is replaced by a Newton step, and one that
+    returns exactly to x_{k-1} is nudged by the strategy's ``delta_rel``.
+    A non-finite x0 or x1, or x1 == x0, raises ValueError.
     """
     config = config or SolverConfig()
+    seeds = 1 if method is Method.NEWTON else 2
     records: list[IterationRecord] = []
 
-    def evaluate(x: float) -> Dual | DomainError:
-        try:
-            return eval_dual(expr, x)
-        except DomainError as err:
-            return err
+    def visit(x: float) -> Outcome | None:
+        """Evaluate at x, append its record and classify the trace so far."""
+        k = len(records)
+        y = dy = _NAN
+        error = None
+        # eval_dual rejects a non-finite seed with ValueError; a step that
+        # overflowed is recorded unevaluated, and classify calls it diverged
+        if k < seeds or math.isfinite(x):
+            try:
+                d = eval_dual(expr, x)
+                y, dy = d.value, (d.deriv if method is not Method.SECANT else _NAN)
+            except DomainError as err:
+                error = err
+        records.append(IterationRecord(k, x, y, dy, _NAN))
+        return classify(
+            records, config, method, domain_error=error, steps_exhausted=_steps(k, method) >= config.max_iter
+        )
 
-    def append(k: int, x: float, d: Dual | None) -> None:
-        if d is None:
-            records.append(IterationRecord(k, x, _NAN, _NAN, _NAN))
-        else:
-            dy = d.deriv if method is not Method.SECANT else _NAN
-            records.append(IterationRecord(k, x, d.value, dy, _NAN))
-
-    def finish(outcome: Outcome) -> Trace:
-        return Trace(method, tuple(records), outcome, config)
-
-    d0 = evaluate(x0)
-    if isinstance(d0, DomainError):
-        append(0, x0, None)
-        return finish(DomainFailure(1, str(d0)))
-    append(0, x0, d0)
-    outcome = classify(records, config, method)
-    if outcome is not None:
-        return finish(outcome)
-
-    if method is not Method.NEWTON:
+    outcome = visit(x0)
+    if outcome is None and seeds == 2:
         if x1 is None:
             x1 = seed_second_point(expr, x0, config)
         elif x1 == x0:
             raise ValueError("x1 must differ from x0")
-        d1 = evaluate(x1)
-        if isinstance(d1, DomainError):
-            append(1, x1, None)
-            return finish(DomainFailure(2, str(d1)))
-        append(1, x1, d1)
-        outcome = classify(records, config, method)
-        if outcome is not None:
-            return finish(outcome)
+        outcome = visit(x1)
 
     while outcome is None:
         cur = records[-1]
@@ -406,34 +379,21 @@ def solve(
         elif method is Method.SECANT:
             prev = records[-2]
             try:
-                x_next = secant_step(prev.x, prev.y, cur.x, cur.y, config.sep_epsilon)
+                x_next = secant_step(prev.x, prev.y, cur.x, cur.y)
             except DegenerateSlopeError:
-                return finish(DerivativeStall(cur.k + 1))
+                outcome = DerivativeStall(cur.k + 1)
+                break
         else:
             prev = records[-2]
-            if abs(cur.x - prev.x) < config.sep_epsilon:
+            if abs(cur.x - prev.x) < SEP_EPSILON:
                 # degenerate-slope guard: substitute a Newton step
                 x_next = newton_step(cur.x, cur.y, cur.dy)
             else:
-                x_next, r = twopoint_step(prev.x, prev.y, cur.x, cur.y, cur.dy, config.sep_epsilon)
+                x_next, r = twopoint_step(prev.x, prev.y, cur.x, cur.y, cur.dy)
                 records[-1] = replace(cur, r_weight=r)
             if x_next == prev.x:
                 # an exact return to x_prev (the dy = 0 limit) would start a
                 # 2-cycle; nudge to break it
-                x_next = x_next + config.nudge_delta() * max(1.0, abs(x_next))
-        k = cur.k + 1
-        if not math.isfinite(x_next):
-            append(k, x_next, None)
-            outcome = classify(records, config, method)
-            break
-        d = evaluate(x_next)
-        if isinstance(d, DomainError):
-            append(k, x_next, None)
-            outcome = classify(records, config, method, domain_error=d)
-            break
-        append(k, x_next, d)
-        outcome = classify(
-            records, config, method, steps_exhausted=_step_count(records, method) >= config.max_iter
-        )
-    assert outcome is not None
-    return finish(outcome)
+                x_next = x_next + config.seed_strategy.delta_rel * max(1.0, abs(x_next))
+        outcome = visit(x_next)
+    return Trace(method, tuple(records), outcome, config)

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -258,3 +259,21 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "converged" in proc.stdout
+
+
+def test_deeply_nested_expression_is_a_usage_error(tmp_path, capsys):
+    deep = "(" * 500 + "x - 1" + ")" * 500
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps([{"name": "deep", "expr": deep, "starts": [2.0]}]))
+    for selection in (["--expr", deep], ["--problems", str(path), "--problem", "deep"]):
+        code, out, err = run_cli(capsys, "solve", *selection, "--method", "newton", "--x0", "2")
+        assert code == 1
+        assert err == "error: expression nested too deeply\n"  # one line, no traceback
+        assert out == ""
+
+
+def test_bench_csv_matches_golden_bytes(capsys):
+    golden = Path(__file__).resolve().parents[1] / "bench" / "golden" / "bench.csv"
+    code, out, _ = run_cli(capsys, "bench", "--format", "csv")
+    assert code == 0
+    assert out.encode("utf-8") == golden.read_bytes()

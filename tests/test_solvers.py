@@ -141,14 +141,16 @@ def test_seeding_failure():
         {"tol": -1e-9},
         {"tol": math.inf},
         {"max_iter": 1},
-        {"divergence_bound": 1.0},
-        {"sep_epsilon": 0.0},
-        {"cycle_tol_rel": -1.0},
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         SolverConfig(**kwargs)
+
+
+def test_classification_thresholds_are_not_config_fields():
+    with pytest.raises(TypeError):
+        SolverConfig(divergence_bound=1e12)
 
 
 # --- full solves ----------------------------------------------------------------
@@ -240,6 +242,27 @@ def test_x1_must_differ():
         solve(parse("x^2 - 2"), Method.SECANT, 1.0, x1=1.0)
 
 
+def test_x1_equal_to_root_start_converges():
+    # x0 converges before x1 is looked at, so x1 == x0 is not an error
+    trace = solve(parse("x^2 - 4"), Method.TWO_POINT, 2.0, x1=2.0)
+    assert trace.outcome == Converged(2.0, 0)
+
+
+def test_non_finite_start_raises():
+    for x0 in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            solve(parse("x^2 - 2"), Method.NEWTON, x0)
+
+
+def test_domain_failure_at_explicit_x1():
+    trace = solve(parse("ln(x)"), Method.SECANT, 2.0, x1=-1.0)
+    out = trace.outcome
+    assert isinstance(out, DomainFailure)
+    assert out.iteration == 2
+    assert len(trace.records) == 2
+    assert math.isnan(trace.records[1].y)
+
+
 def test_secant_converges_on_affine_in_one_step():
     trace = solve(parse("2*x - 6"), Method.SECANT, 0.0, x1=1.0)
     assert trace.outcome == Converged(3.0, 1)
@@ -254,10 +277,10 @@ def test_stagnation_nudge_breaks_zero_derivative_cycle():
 
 
 def test_degenerate_slope_guard_uses_newton():
-    config = SolverConfig(sep_epsilon=1e-2)
-    trace = solve(parse("x^2 - 2"), Method.TWO_POINT, 1.0, config, x1=1.001)
-    d = eval_dual(parse("x^2 - 2"), 1.001)
-    assert trace.records[2].x == newton_step(1.001, d.value, d.deriv)
+    # x0 = 0 and x1 = 5e-324 lie closer than SEP_EPSILON
+    trace = solve(parse("x + 1"), Method.TWO_POINT, 0.0, x1=5e-324)
+    d = eval_dual(parse("x + 1"), 5e-324)
+    assert trace.records[2].x == newton_step(5e-324, d.value, d.deriv) == -1.0
 
 
 def test_secant_records_no_derivative():
