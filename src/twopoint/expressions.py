@@ -9,7 +9,8 @@ functions ``sin cos tan exp ln log10 atan sqrt cbrt abs``.
 Evaluation is forward-mode automatic differentiation: every node carries a
 (value, derivative) pair and the exact sum/product/quotient/chain rules
 propagate both.  Leaving the real domain raises :class:`DomainError`
-instead of producing NaN silently.
+instead of producing NaN silently.  An expression is compiled into a chain
+of closures on its first evaluation, and the chain is cached on it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from types import MethodType
+from typing import Callable
 
 __all__ = [
     "BinOp",
@@ -31,6 +35,7 @@ __all__ = [
     "ParseError",
     "Variable",
     "eval_dual",
+    "ieee_div",
     "parse",
     "render",
 ]
@@ -116,6 +121,16 @@ class Expression:
     def __str__(self) -> str:
         return render(self)
 
+    @cached_property
+    def _compiled(self) -> _Fn:
+        # cached_property writes the instance __dict__ directly, past the
+        # frozen __setattr__; eq, hash and repr read only the fields
+        return _compile(self.root)
+
+    def __getstate__(self) -> dict:
+        # pickle and copy take the tree only; the closures cannot be pickled
+        return {"root": self.root}
+
 
 @dataclass(frozen=True)
 class Dual:
@@ -127,48 +142,37 @@ class Dual:
 
 # --- tokenizer --------------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# One alternative per token kind, tried at each position in turn; "other"
+# catches any character no token can start with.  Only " \t\r\n" is
+# whitespace, and \d admits every Unicode decimal digit, as float() does.
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n]+"
+    r"|(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*/^])"
+    r"|(?P<lparen>\()"
+    r"|(?P<rparen>\))"
+    r"|(?P<other>.)",
+    re.DOTALL,
+)
+
+# (kind, text, pos); kind is "number", "ident", "op", "lparen", "rparen" or "end"
+_Tok = tuple[str, str, int]
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number" | "ident" | "op" | "lparen" | "rparen" | "end"
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
+def _tokenize(text: str) -> list[_Tok]:
+    tokens: list[_Tok] = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:  # whitespace
             continue
-        if c.isdigit() or c == ".":
-            m = _NUMBER_RE.match(text, i)
-            if m is None:
-                raise ParseError("malformed number", i, ("digit",))
-            tokens.append(_Token("number", m.group(), i))
-            i = m.end()
-        elif c.isalpha() or c == "_":
-            m = _IDENT_RE.match(text, i)
-            assert m is not None
-            tokens.append(_Token("ident", m.group(), i))
-            i = m.end()
-        elif c in "+-*/^":
-            tokens.append(_Token("op", c, i))
-            i += 1
-        elif c == "(":
-            tokens.append(_Token("lparen", c, i))
-            i += 1
-        elif c == ")":
-            tokens.append(_Token("rparen", c, i))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("end", "", n))
+        if kind == "other":
+            c, pos = m.group(), m.start()
+            if c.isdigit() or c == ".":
+                raise ParseError("malformed number", pos, ("digit",))
+            raise ParseError(f"unexpected character {c!r}", pos)
+        tokens.append((kind, m.group(), m.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -178,91 +182,91 @@ _ATOM_EXPECTED = ("number", "'x'", "'pi'", "'e'", "function name", "'('")
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    """Grammar rules over a token list; ``tok`` is the current token.
+
+    Only "op" tokens have the text + - * / or ^, so the rules test the
+    operator text alone.
+    """
+
+    def __init__(self, tokens: list[_Tok]):
         self.tokens = tokens
         self.i = 0
+        self.tok = tokens[0]
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
+    def advance(self) -> None:
         self.i += 1
-        return tok
+        self.tok = self.tokens[self.i]
+
+    def expect_rparen(self) -> None:
+        if self.tok[0] != "rparen":
+            raise ParseError("unbalanced parenthesis", self.tok[2], ("')'",))
+        self.advance()
 
     def sum(self) -> Node:
         node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
+        while (op := self.tok[1]) == "+" or op == "-":
+            self.advance()
             node = BinOp(op, node, self.term())
         return node
 
     def term(self) -> Node:
         node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
+        while (op := self.tok[1]) == "*" or op == "/":
+            self.advance()
             node = BinOp(op, node, self.unary())
         return node
 
     def unary(self) -> Node:
-        if self.peek().kind == "op" and self.peek().text == "-":
+        if self.tok[1] == "-":
             self.advance()
             return Neg(self.unary())
         return self.power()
 
     def power(self) -> Node:
         base = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
+        if self.tok[1] == "^":
             self.advance()
             # right-associative; the exponent may carry a unary minus
             return BinOp("^", base, self.unary())
         return base
 
     def atom(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "number":
+        kind, text, pos = self.tok
+        if kind == "number":
             self.advance()
-            value = float(tok.text)
+            value = float(text)
             if not math.isfinite(value):
-                raise ParseError("number literal out of range", tok.pos)
+                raise ParseError("number literal out of range", pos)
             return Number(value)
-        if tok.kind == "lparen":
+        if kind == "lparen":
             self.advance()
             node = self.sum()
-            closing = self.peek()
-            if closing.kind != "rparen":
-                raise ParseError("unbalanced parenthesis", closing.pos, ("')'",))
-            self.advance()
+            self.expect_rparen()
             return node
-        if tok.kind == "ident":
+        if kind == "ident":
             self.advance()
-            name = tok.text
-            if name == "x":
+            if text == "x":
                 return Variable()
-            if name in CONSTANTS:
-                return Constant(name)
-            if name in FUNCTIONS:
-                opening = self.peek()
-                if opening.kind != "lparen":
-                    raise ParseError(f"function {name!r} needs an argument list", opening.pos, ("'('",))
+            if text in CONSTANTS:
+                return Constant(text)
+            if text in FUNCTIONS:
+                if self.tok[0] != "lparen":
+                    raise ParseError(f"function {text!r} needs an argument list", self.tok[2], ("'('",))
                 self.advance()
                 arg = self.sum()
-                closing = self.peek()
-                if closing.kind != "rparen":
-                    raise ParseError("unbalanced parenthesis", closing.pos, ("')'",))
-                self.advance()
-                return Call(name, arg)
-            raise ParseError(f"unknown identifier {name!r}", tok.pos)
-        raise ParseError(f"unexpected {tok.text!r}" if tok.text else "unexpected end of input", tok.pos, _ATOM_EXPECTED)
+                self.expect_rparen()
+                return Call(text, arg)
+            raise ParseError(f"unknown identifier {text!r}", pos)
+        raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos, _ATOM_EXPECTED)
 
 
 def parse(text: str) -> Expression:
     """Parse expression text into the unique tree given by the grammar."""
     parser = _Parser(_tokenize(text))
     node = parser.sum()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ParseError(f"unexpected {trailing.text!r} after expression", trailing.pos)
+    kind, trailing, pos = parser.tok
+    if kind != "end":
+        raise ParseError(f"unexpected {trailing!r} after expression", pos)
     return Expression(node)
 
 
@@ -316,6 +320,30 @@ def render(expr: Expression) -> str:
 
 
 # --- evaluation -------------------------------------------------------------
+#
+# An Expression compiles once, on its first evaluation, into a chain of
+# closures, each a callable x -> (value, deriv).  A node's closure is the
+# rule for its kind bound with MethodType to its children's closures; the
+# rule calls them, left before right, and applies the sum, product,
+# quotient or chain rule.  The closures do what a recursive walk of the tree
+# would do, float operation for float operation.  A bound method is cheaper
+# to create, call and free than a nested function.
+#
+# After each BinOp and Call, a non-finite value or a NaN derivative raises
+# DomainError(operator or function name, left or argument value).
+
+_Fn = Callable[[float], tuple[float, float]]
+_isfinite = math.isfinite
+
+
+def ieee_div(num: float, den: float) -> float:
+    """Division with IEEE-754 semantics: finite/0 is signed inf, 0/0 is NaN."""
+    try:
+        return num / den
+    except ZeroDivisionError:
+        if num == 0.0 or math.isnan(num):
+            return math.nan
+        return math.copysign(math.inf, num) * math.copysign(1.0, den)
 
 
 def _cbrt(v: float) -> float:
@@ -369,81 +397,238 @@ def _pow(uv: float, ud: float, pv: float, pd: float) -> tuple[float, float]:
     return value, value * (pd * math.log(uv) + pv * ud / uv)
 
 
-def _eval(node: Node, x: float) -> tuple[float, float]:
-    if isinstance(node, Number):
-        if not math.isfinite(node.value):
-            raise DomainError("number", node.value)
-        return node.value, 0.0
-    if isinstance(node, Variable):
-        return x, 1.0
-    if isinstance(node, Constant):
-        return CONSTANTS[node.name], 0.0
-    if isinstance(node, Neg):
-        v, d = _eval(node.operand, x)
-        return -v, -d
-    if isinstance(node, BinOp):
-        lv, ld = _eval(node.left, x)
-        rv, rd = _eval(node.right, x)
-        op = node.op
-        if op == "+":
-            v, d = lv + rv, ld + rd
-        elif op == "-":
-            v, d = lv - rv, ld - rd
-        elif op == "*":
-            v, d = lv * rv, ld * rv + lv * rd
-        elif op == "/":
-            if rv == 0.0:
-                raise DomainError("/", lv)
-            v, d = lv / rv, (ld * rv - lv * rd) / (rv * rv)
-        else:
-            v, d = _pow(lv, ld, rv, rd)
-        if not math.isfinite(v):
-            raise DomainError(op, lv)
-        if math.isnan(d):
-            raise DomainError(op, lv)
-        return v, d
-    assert isinstance(node, Call)
-    uv, ud = _eval(node.arg, x)
-    f = node.func
-    if f == "sin":
-        v, d = math.sin(uv), math.cos(uv) * ud
-    elif f == "cos":
-        v, d = math.cos(uv), -math.sin(uv) * ud
-    elif f == "tan":
-        c = math.cos(uv)
-        v, d = math.tan(uv), ud / (c * c)
-    elif f == "exp":
-        try:
-            e = math.exp(uv)
-        except OverflowError:
-            raise DomainError("exp", uv) from None
-        v, d = e, e * ud
-    elif f == "ln":
-        if uv <= 0.0:
-            raise DomainError("ln", uv)
-        v, d = math.log(uv), ud / uv
-    elif f == "log10":
-        if uv <= 0.0:
-            raise DomainError("log10", uv)
-        v, d = math.log10(uv), ud / (uv * _LN10)
-    elif f == "atan":
-        v, d = math.atan(uv), ud / (1.0 + uv * uv)
-    elif f == "sqrt":
-        if uv < 0.0:
-            raise DomainError("sqrt", uv)
-        s = math.sqrt(uv)
-        v, d = s, _zero_deriv_blowup(ud) if uv == 0.0 else ud / (2.0 * s)
-    elif f == "cbrt":
-        c = _cbrt(uv)
-        v, d = c, _zero_deriv_blowup(ud) if uv == 0.0 else ud / (3.0 * c * c)
-    else:
-        assert f == "abs"
-        v, d = abs(uv), ud * _sign(uv)
-    if not math.isfinite(v):
-        raise DomainError(f, uv)
-    if math.isnan(d):
-        raise DomainError(f, uv)
+# leaves and negation
+
+
+def _dual_x(x):
+    return x, 1.0
+
+
+def _dual_constant(pair, x):
+    return pair
+
+
+def _dual_non_finite(value, x):
+    raise DomainError("number", value)
+
+
+def _dual_neg(operand, x):
+    v, d = operand(x)
+    return -v, -d
+
+
+# BinOp rules, bound to (left, right)
+
+
+def _dual_add(children, x):
+    left, right = children
+    lv, ld = left(x)
+    rv, rd = right(x)
+    v, d = lv + rv, ld + rd
+    if not _isfinite(v) or d != d:
+        raise DomainError("+", lv)
     return v, d
+
+
+def _dual_sub(children, x):
+    left, right = children
+    lv, ld = left(x)
+    rv, rd = right(x)
+    v, d = lv - rv, ld - rd
+    if not _isfinite(v) or d != d:
+        raise DomainError("-", lv)
+    return v, d
+
+
+def _dual_mul(children, x):
+    left, right = children
+    lv, ld = left(x)
+    rv, rd = right(x)
+    v, d = lv * rv, ld * rv + lv * rd
+    if not _isfinite(v) or d != d:
+        raise DomainError("*", lv)
+    return v, d
+
+
+def _dual_div(children, x):
+    left, right = children
+    lv, ld = left(x)
+    rv, rd = right(x)
+    if rv == 0.0:
+        raise DomainError("/", lv)
+    v = lv / rv
+    try:
+        d = (ld * rv - lv * rd) / (rv * rv)
+    except ZeroDivisionError:
+        # rv * rv underflowed to +0: divide as IEEE-754 does
+        d = ieee_div(ld * rv - lv * rd, 0.0)
+    if not _isfinite(v) or d != d:
+        raise DomainError("/", lv)
+    return v, d
+
+
+def _dual_pow(children, x):
+    left, right = children
+    lv, ld = left(x)
+    rv, rd = right(x)
+    v, d = _pow(lv, ld, rv, rd)
+    if not _isfinite(v) or d != d:
+        raise DomainError("^", lv)
+    return v, d
+
+
+# Call rules, bound to the argument
+
+
+def _dual_sin(arg, x):
+    uv, ud = arg(x)
+    v, d = math.sin(uv), math.cos(uv) * ud
+    if not _isfinite(v) or d != d:
+        raise DomainError("sin", uv)
+    return v, d
+
+
+def _dual_cos(arg, x):
+    uv, ud = arg(x)
+    v, d = math.cos(uv), -math.sin(uv) * ud
+    if not _isfinite(v) or d != d:
+        raise DomainError("cos", uv)
+    return v, d
+
+
+def _dual_tan(arg, x):
+    uv, ud = arg(x)
+    c = math.cos(uv)
+    v, d = math.tan(uv), ud / (c * c)
+    if not _isfinite(v) or d != d:
+        raise DomainError("tan", uv)
+    return v, d
+
+
+def _dual_exp(arg, x):
+    uv, ud = arg(x)
+    try:
+        e = math.exp(uv)
+    except OverflowError:
+        raise DomainError("exp", uv) from None
+    v, d = e, e * ud
+    if not _isfinite(v) or d != d:
+        raise DomainError("exp", uv)
+    return v, d
+
+
+def _dual_ln(arg, x):
+    uv, ud = arg(x)
+    if uv <= 0.0:
+        raise DomainError("ln", uv)
+    v, d = math.log(uv), ud / uv
+    if not _isfinite(v) or d != d:
+        raise DomainError("ln", uv)
+    return v, d
+
+
+def _dual_log10(arg, x):
+    uv, ud = arg(x)
+    if uv <= 0.0:
+        raise DomainError("log10", uv)
+    v, d = math.log10(uv), ud / (uv * _LN10)
+    if not _isfinite(v) or d != d:
+        raise DomainError("log10", uv)
+    return v, d
+
+
+def _dual_atan(arg, x):
+    uv, ud = arg(x)
+    v, d = math.atan(uv), ud / (1.0 + uv * uv)
+    if not _isfinite(v) or d != d:
+        raise DomainError("atan", uv)
+    return v, d
+
+
+def _dual_sqrt(arg, x):
+    uv, ud = arg(x)
+    if uv < 0.0:
+        raise DomainError("sqrt", uv)
+    s = math.sqrt(uv)
+    v, d = s, _zero_deriv_blowup(ud) if uv == 0.0 else ud / (2.0 * s)
+    if not _isfinite(v) or d != d:
+        raise DomainError("sqrt", uv)
+    return v, d
+
+
+def _dual_cbrt(arg, x):
+    uv, ud = arg(x)
+    c = _cbrt(uv)
+    v, d = c, _zero_deriv_blowup(ud) if uv == 0.0 else ud / (3.0 * c * c)
+    if not _isfinite(v) or d != d:
+        raise DomainError("cbrt", uv)
+    return v, d
+
+
+def _dual_abs(arg, x):
+    uv, ud = arg(x)
+    v, d = abs(uv), ud * _sign(uv)
+    if not _isfinite(v) or d != d:
+        raise DomainError("abs", uv)
+    return v, d
+
+
+_BINOP_RULES = {"+": _dual_add, "-": _dual_sub, "*": _dual_mul, "/": _dual_div, "^": _dual_pow}
+_CALL_RULES = {
+    "sin": _dual_sin,
+    "cos": _dual_cos,
+    "tan": _dual_tan,
+    "exp": _dual_exp,
+    "ln": _dual_ln,
+    "log10": _dual_log10,
+    "atan": _dual_atan,
+    "sqrt": _dual_sqrt,
+    "cbrt": _dual_cbrt,
+    "abs": _dual_abs,
+}
+
+
+def _compile(root: Node) -> _Fn:
+    """Closure chain of a tree, built without recursion.
+
+    The first loop lists every node before its descendants, with a right
+    subtree listed before its left sibling.  Read backwards, the list
+    visits left subtree, right subtree, node: the second loop builds the
+    closures in that order on a stack.
+    """
+    order: list[Node] = []
+    todo = [root]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        kind = type(node)
+        if kind is BinOp:
+            todo.append(node.left)
+            todo.append(node.right)
+        elif kind is Call:
+            todo.append(node.arg)
+        elif kind is Neg:
+            todo.append(node.operand)
+    built: list[_Fn] = []
+    for node in reversed(order):
+        kind = type(node)
+        if kind is BinOp:
+            right = built.pop()
+            built[-1] = MethodType(_BINOP_RULES[node.op], (built[-1], right))
+        elif kind is Call:
+            built[-1] = MethodType(_CALL_RULES[node.func], built[-1])
+        elif kind is Neg:
+            built[-1] = MethodType(_dual_neg, built[-1])
+        elif kind is Variable:
+            built.append(_dual_x)
+        else:
+            value = node.value if kind is Number else CONSTANTS[node.name]
+            # a non-finite literal raises when evaluated, not here
+            if _isfinite(value):
+                built.append(MethodType(_dual_constant, (value, 0.0)))
+            else:
+                built.append(MethodType(_dual_non_finite, value))
+    return built[0]
 
 
 def eval_dual(expr: Expression, x: float) -> Dual:
@@ -455,5 +640,5 @@ def eval_dual(expr: Expression, x: float) -> Dual:
     """
     if not math.isfinite(x):
         raise ValueError(f"evaluation point must be finite, got {x!r}")
-    v, d = _eval(expr.root, x)
+    v, d = expr._compiled(x)
     return Dual(v, d)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence, Union
 
-from .expressions import DomainError, Expression, eval_dual
+from .expressions import DomainError, Expression, eval_dual, ieee_div
 
 __all__ = [
     "Converged",
@@ -73,9 +73,16 @@ class Method(Enum):
 
 @dataclass(frozen=True)
 class Perturb:
-    """Seed the second point at ``x0 + delta_rel * max(1, |x0|)``."""
+    """Seed the second point at ``x0 + delta_rel * max(1, |x0|)``.
+
+    ``delta_rel`` must be finite and nonzero.
+    """
 
     delta_rel: float = DEFAULT_DELTA_REL
+
+    def __post_init__(self):
+        if not (math.isfinite(self.delta_rel) and self.delta_rel != 0.0):
+            raise ValueError("delta must be finite and nonzero")
 
 
 @dataclass(frozen=True)
@@ -191,16 +198,6 @@ class PrevPointIsRootError(ValueError):
     """Two-point step needs y_prev != 0."""
 
 
-def ieee_div(num: float, den: float) -> float:
-    """Division with IEEE-754 semantics: finite/0 is signed inf, 0/0 is NaN."""
-    try:
-        return num / den
-    except ZeroDivisionError:
-        if num == 0.0 or math.isnan(num):
-            return _NAN
-        return math.copysign(math.inf, num) * math.copysign(1.0, den)
-
-
 def newton_step(x: float, y: float, dy: float) -> float:
     """x - y/dy; the root is a fixed point, dy = 0 with y != 0 gives +/-inf."""
     if y == 0.0:
@@ -256,6 +253,8 @@ def seed_second_point(expr: Expression, x0: float, config: SolverConfig | None =
                 t *= 0.5
         # fall through to a plain perturbation
     x1 = x0 + strat.delta_rel * max(1.0, abs(x0))
+    if x1 == x0:
+        raise SeedingError(f"delta {strat.delta_rel!r} is too small to move x0={x0!r}")
     if _eval_ok(expr, x1):
         return x1
     raise SeedingError(f"no in-domain second point near x0={x0!r}")

@@ -224,6 +224,26 @@ def test_delta_flag_controls_perturbation(capsys):
     assert payload["records"][1]["x"] == 3.0 + 0.5 * 3.0
 
 
+@pytest.mark.parametrize("delta", ["0", "nan"])
+def test_zero_or_nan_delta_is_a_usage_error(capsys, delta):
+    code, out, err = run_cli(
+        capsys, "solve", "--expr", "x^2 - 2", "--method", "secant", "--x0", "1", "--delta", delta
+    )
+    assert code == 1
+    assert err == "error: delta must be finite and nonzero\n"
+    assert out == ""
+
+
+def test_delta_too_small_to_move_x0_is_a_seeding_error(capsys):
+    code, out, err = run_cli(
+        capsys, "solve", "--expr", "x^2 - 2", "--method", "secant", "--x0", "1", "--delta", "1e-20"
+    )
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "x0=1.0" in err
+    assert out == ""
+
+
 def test_explicit_x1_flag(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -277,3 +297,21 @@ def test_bench_csv_matches_golden_bytes(capsys):
     code, out, _ = run_cli(capsys, "bench", "--format", "csv")
     assert code == 0
     assert out.encode("utf-8") == golden.read_bytes()
+
+
+def test_non_ascii_letter_is_a_parse_error(capsys):
+    code, out, err = run_cli(capsys, "solve", "--expr", "x+\u00e9", "--method", "newton", "--x0", "1")
+    assert code == 1
+    assert err == "error: unexpected character '\u00e9' at position 2\n"
+    assert out == ""
+
+
+def test_underflowing_quotient_rule_does_not_crash():
+    # the quotient rule's rv*rv underflows to 0 at x0; the derivative is -inf
+    proc = subprocess.run(
+        [sys.executable, "-m", "twopoint", "solve", "--expr", "1/x - 2", "--method", "newton", "--x0", "1e-170"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode in (0, 2)
+    assert "Traceback" not in proc.stderr

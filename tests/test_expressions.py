@@ -132,6 +132,31 @@ def test_quotient_rule():
     assert d.deriv == pytest.approx(want, rel=1e-14)
 
 
+@pytest.mark.parametrize("x", [1e-161, 1e-162, 1e-300])
+def test_quotient_rule_with_underflowing_denominator(x):
+    # rv*rv is subnormal at 1e-161 and 0 below; either way f' is -inf
+    d = eval_dual(parse("1/x"), x)
+    assert d.value == 1.0 / x
+    assert d.deriv == -math.inf
+    d = eval_dual(parse("1/x"), -x)
+    assert d.deriv == -math.inf
+
+
+@pytest.mark.parametrize("x", [-3.0, -1e-300, 0.0, 1e-300, 0.5, 7.0])
+def test_division_by_tiny_constant(x):
+    d = eval_dual(parse("x/1e-170"), x)
+    assert d.value == x / 1e-170
+    assert d.deriv == math.inf
+
+
+def test_underflowing_quotient_rule_with_zero_numerator_is_domain_error():
+    # (x - x)/x: the quotient rule's numerator and denominator are both 0
+    with pytest.raises(DomainError) as info:
+        eval_dual(parse("(x - x)/x"), 1e-170)
+    assert info.value.kind == "/"
+    assert info.value.arg == 0.0
+
+
 def test_determinism():
     expr = parse("sin(x) * exp(x) + ln(x^2 + 1)")
     a = eval_dual(expr, 0.37)
@@ -180,6 +205,29 @@ def test_double_caret_rejected():
 def test_empty_input_rejected():
     with pytest.raises(ParseError):
         parse("")
+
+
+@pytest.mark.parametrize("text,position", [("\u00e9", 0), ("x+\u00e9", 2), ("sin(\u03c0)", 4)])
+def test_non_ascii_letter_is_unexpected_character(text, position):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == f"unexpected character {text[position]!r} at position {position}"
+    assert info.value.position == position
+    assert info.value.expected == ()
+
+
+def test_unicode_decimal_digits_are_numbers():
+    # \d and float() both accept any Unicode decimal digit
+    assert parse("\u0663.5") == Expression(Number(3.5))
+
+
+@pytest.mark.parametrize("text,position", [("\u00b2", 0), ("x + .", 4), ("2*.e3", 2)])
+def test_malformed_number(text, position):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value).startswith("malformed number")
+    assert info.value.position == position
+    assert info.value.expected == ("digit",)
 
 
 # --- rendering ----------------------------------------------------------------

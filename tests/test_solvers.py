@@ -14,6 +14,7 @@ from twopoint.solvers import (
     MaxIterationsExceeded,
     Method,
     Oscillating,
+    Perturb,
     PrevPointIsRootError,
     SeedingError,
     SolverConfig,
@@ -129,6 +130,25 @@ def test_seeding_failure():
     # domain is the single point x = 0; any perturbation fails
     with pytest.raises(SeedingError):
         seed_second_point(parse("sqrt(-x^2)"), 0.0)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.0, math.nan, math.inf, -math.inf])
+def test_perturb_rejects_zero_and_non_finite_delta(delta):
+    with pytest.raises(ValueError):
+        Perturb(delta)
+
+
+def test_perturb_accepts_negative_delta():
+    config = SolverConfig(seed_strategy=Perturb(-0.5))
+    assert seed_second_point(parse("x^2 - 2"), 3.0, config) == 3.0 - 0.5 * 3.0
+
+
+def test_perturbation_that_leaves_x0_unchanged_is_a_seeding_error():
+    config = SolverConfig(seed_strategy=Perturb(1e-20))
+    with pytest.raises(SeedingError):
+        seed_second_point(parse("x^2 - 2"), 1.0, config)
+    with pytest.raises(SeedingError):
+        solve(parse("x^2 - 2"), Method.SECANT, 1.0, config)
 
 
 # --- config ---------------------------------------------------------------------
