@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
-from typing import Sequence, TextIO
+from typing import Sequence
 
 from . import analysis, corpus
-from .expressions import Expression, ParseError, parse
+from .expressions import Expression, parse
 from .solvers import (
     Converged,
     DerivativeStall,
@@ -46,6 +47,15 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        # argparse takes the "--" of "--flag=--" for the end-of-options
+        # marker and stores []; no option here takes a list
+        for dest, value in vars(parsed).items():
+            if isinstance(value, list):
+                self.error(f"argument --{dest.replace('_', '-')}: expected one argument")
+        return parsed
+
 
 def _num(value: float) -> str:
     """Shortest round-trip text; blank for NaN."""
@@ -54,8 +64,31 @@ def _num(value: float) -> str:
     return repr(value)
 
 
-def _json_num(value: float):
-    return None if math.isnan(value) else value
+def _json_row(row: dict) -> dict:
+    """The row with each NaN float replaced by None, which JSON writes as null."""
+    return {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in row.items()}
+
+
+def _write(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when there is none."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise OSError(f"cannot write {out!r}: {err}") from None
+
+
+def _write_csv(columns: Sequence[str], rows: list[dict], out: str | None) -> None:
+    """A header and one line per row; floats as _num text, other cells as they are."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_num(row[col]) if isinstance(row[col], float) else row[col] for col in columns])
+    _write(buf.getvalue(), out)
 
 
 def _describe(outcome) -> str:
@@ -94,13 +127,6 @@ def trace_rows(trace: Trace, reference_root: float | None) -> list[dict]:
         }
         for rec, abs_error, c in zip(trace.records, abs_errors, ck)
     ]
-
-
-def _write_trace_csv(rows: list[dict], out: TextIO) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(TRACE_COLUMNS)
-    for row in rows:
-        writer.writerow([str(row["k"])] + [_num(row[col]) for col in TRACE_COLUMNS[1:]])
 
 
 def _comparison(outcome, iterations: int, expected: corpus.ExpectedResult | None) -> str:
@@ -154,14 +180,9 @@ def _select(args) -> tuple[Expression, float | None, str]:
         raise _UsageError("exactly one of --expr or --problem is required")
     if args.expr is not None:
         return parse(args.expr), None, args.expr
-    pool: list = []
-    if args.problems:
-        pool.extend(corpus.load_problems(args.problems))
-    pool.extend(corpus.builtin_problems())
-    for prob in pool:
-        if prob.name == args.problem:
-            return prob.expression, prob.reference_root, prob.name
-    raise KeyError(f"no problem named {args.problem!r}")
+    extra = corpus.load_problems(args.problems) if args.problems else ()
+    prob = corpus.find_problem(args.problem, extra)
+    return prob.expression, prob.reference_root, prob.name
 
 
 # --- subcommands --------------------------------------------------------------
@@ -175,8 +196,6 @@ def _cmd_solve(args) -> int:
         raise _UsageError("--x1 must differ from --x0")
     trace = solve(expression, Method(args.method), args.x0, config, args.x1)
     outcome = trace.outcome
-    if args.format == "csv" or (args.format == "json" and args.verbose):
-        rows = trace_rows(trace, root)
     if args.format == "json":
         payload = {
             "problem": label,
@@ -184,17 +203,13 @@ def _cmd_solve(args) -> int:
             "outcome": outcome.label,
             "root": outcome.root if isinstance(outcome, Converged) else None,
             "iterations": trace.iterations,
-            "final_x": _json_num(trace.records[-1].x),
+            "final_x": trace.records[-1].x,
         }
         if args.verbose:
-            payload["records"] = [{k: (v if k == "k" else _json_num(v)) for k, v in row.items()} for row in rows]
-        print(json.dumps(payload))
+            payload["records"] = [_json_row(row) for row in trace_rows(trace, root)]
+        print(json.dumps(_json_row(payload)))
     elif args.format == "csv":
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                _write_trace_csv(rows, fh)
-        else:
-            _write_trace_csv(rows, sys.stdout)
+        _write_csv(TRACE_COLUMNS, trace_rows(trace, root), args.out)
         print(_describe(outcome), file=sys.stderr)
     else:
         print(f"problem:    {label}")
@@ -245,38 +260,15 @@ def _cmd_bench(args) -> int:
     tables = {"1": (1,), "2": (2,), "all": (1, 2)}[args.table]
     rows = bench_rows(tables)
     if args.format == "json":
-        payload = [dict(row, final_x=_json_num(row["final_x"])) for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
+        _write(json.dumps([_json_row(row) for row in rows], indent=2) + "\n", args.out)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(BENCH_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row["problem"],
-                    _num(row["start"]),
-                    row["method"],
-                    row["outcome"],
-                    str(row["iterations"]),
-                    _num(row["final_x"]),
-                    row["comparison"],
-                ]
-            )
-        text = buf.getvalue()
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as err:
-            print(f"error: cannot write {args.out!r}: {err}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(text)
+        _write_csv(BENCH_COLUMNS, rows, args.out)
     return 0
 
 
+@functools.cache
 def _make_parser() -> _ArgumentParser:
+    """The argument parser, built on first use and reused for every call."""
     parser = _ArgumentParser(prog="twopoint", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -301,13 +293,9 @@ def _make_parser() -> _ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _make_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except SeedingError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -315,7 +303,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # the recursive-descent parser gives out on deeply nested input
         print("error: expression nested too deeply", file=sys.stderr)
         return 1
-    except (ParseError, KeyError, corpus.ProblemFileError, ValueError, OSError) as err:
+    except (_UsageError, KeyError, ValueError, OSError) as err:
         message = err.args[0] if isinstance(err, KeyError) and err.args else err
         print(f"error: {message}", file=sys.stderr)
         return 1

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .expressions import DomainError, Expression, ParseError, eval_dual, parse
 from .solvers import Method
@@ -224,11 +224,12 @@ def builtin_problems() -> tuple[Problem, ...]:
     return _TABLE1 + _TABLE2 + (_SINE_DEMO,)
 
 
-def find_problem(name: str) -> Problem:
-    for prob in builtin_problems():
+def find_problem(name: str, extra: Iterable[Problem] = ()) -> Problem:
+    """The first problem called ``name`` in ``extra``, else the built-in one."""
+    for prob in (*extra, *builtin_problems()):
         if prob.name == name:
             return prob
-    raise KeyError(f"no builtin problem named {name!r}")
+    raise KeyError(f"no problem named {name!r}")
 
 
 # --- problem files ----------------------------------------------------------
@@ -260,13 +261,12 @@ def _parse_expected_key(index: int, key: str) -> tuple[Method, float]:
 
 
 def _parse_expected_value(index: int, key: str, value) -> ExpectedResult:
-    if isinstance(value, str):
-        if value not in _CELLS:
-            _fail(index, "expected", f"bad value {value!r} for {key!r}, want a count or one of {sorted(_CELLS)}")
-        return _CELLS[value]
-    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+    try:
+        return _cell(value)
+    except KeyError:
+        _fail(index, "expected", f"bad value {value!r} for {key!r}, want a count or one of {sorted(_CELLS)}")
+    except ValueError:
         _fail(index, "expected", f"bad value {value!r} for {key!r}, want a positive integer")
-    return iteration_count(value)
 
 
 def load_problems(path: str | Path) -> tuple[Problem, ...]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from types import MethodType
@@ -35,7 +36,6 @@ __all__ = [
     "ParseError",
     "Variable",
     "eval_dual",
-    "ieee_div",
     "parse",
     "render",
 ]
@@ -334,16 +334,7 @@ def render(expr: Expression) -> str:
 
 _Fn = Callable[[float], tuple[float, float]]
 _isfinite = math.isfinite
-
-
-def ieee_div(num: float, den: float) -> float:
-    """Division with IEEE-754 semantics: finite/0 is signed inf, 0/0 is NaN."""
-    try:
-        return num / den
-    except ZeroDivisionError:
-        if num == 0.0 or math.isnan(num):
-            return math.nan
-        return math.copysign(math.inf, num) * math.copysign(1.0, den)
+_FLOAT_MIN = sys.float_info.min  # the smallest normal float
 
 
 def _cbrt(v: float) -> float:
@@ -457,11 +448,13 @@ def _dual_div(children, x):
     if rv == 0.0:
         raise DomainError("/", lv)
     v = lv / rv
-    try:
-        d = (ld * rv - lv * rd) / (rv * rv)
-    except ZeroDivisionError:
-        # rv * rv underflowed to +0: divide as IEEE-754 does
-        d = ieee_div(ld * rv - lv * rd, 0.0)
+    den = rv * rv
+    if den >= _FLOAT_MIN:
+        d = (ld * rv - lv * rd) / den
+    else:
+        # rv*rv is subnormal or 0 (|rv| below about 1.5e-154): dividing by
+        # rv alone keeps a finite f' finite
+        d = (ld - v * rd) / rv
     if not _isfinite(v) or d != d:
         raise DomainError("/", lv)
     return v, d

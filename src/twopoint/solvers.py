@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence, Union
 
-from .expressions import DomainError, Expression, eval_dual, ieee_div
+from .expressions import DomainError, Expression, eval_dual
 
 __all__ = [
     "Converged",
@@ -196,6 +196,16 @@ class DegenerateSlopeError(ValueError):
 
 class PrevPointIsRootError(ValueError):
     """Two-point step needs y_prev != 0."""
+
+
+def ieee_div(num: float, den: float) -> float:
+    """Division with IEEE-754 semantics: finite/0 is signed inf, 0/0 is NaN."""
+    try:
+        return num / den
+    except ZeroDivisionError:
+        if num == 0.0 or math.isnan(num):
+            return math.nan
+        return math.copysign(math.inf, num) * math.copysign(1.0, den)
 
 
 def newton_step(x: float, y: float, dy: float) -> float:

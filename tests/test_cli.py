@@ -176,6 +176,37 @@ def test_bench_unwritable_out_is_io_error(capsys):
     assert "cannot write" in err
 
 
+def test_trace_unwritable_out_is_io_error(capsys):
+    code, out, err = run_cli(
+        capsys, "trace", "--expr", "x^2 - 2", "--method", "newton", "--x0", "3", "--out", "/nonexistent-dir/x.csv"
+    )
+    assert code == 1
+    assert err.startswith("error: cannot write '/nonexistent-dir/x.csv': ") and err.count("\n") == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("flag", ["--x0", "--method", "--expr", "--format"])
+def test_double_dash_option_value_is_a_usage_error(capsys, flag):
+    argv = {"--x0": "3", "--method": "newton", "--expr": "x^2 - 2", "--format": "json"}
+    argv[flag] = "--"
+    code, out, err = run_cli(capsys, "solve", *(f"{k}={v}" for k, v in argv.items()))
+    assert code == 1
+    assert err == f"error: argument {flag}: expected one argument\n"
+    assert out == ""
+
+
+def test_problems_file_entry_shadows_builtin(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps([{"name": "atan(x)", "expr": "atan(x) - 1", "starts": [1.0]}]))
+    code, out, _ = run_cli(
+        capsys,
+        "solve", "--problems", str(path), "--problem", "atan(x)", "--method", "newton", "--x0", "1",
+        "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["root"] == pytest.approx(1.5574077246549023)
+
+
 def test_solve_csv_format_streams_trace(capsys):
     code, out, err = run_cli(
         capsys, "solve", "--problem", "atan(x)", "--method", "twopoint", "--x0", "3", "--format", "csv"

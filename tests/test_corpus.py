@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -12,7 +13,7 @@ from twopoint.corpus import (
     table1_problems,
     table2_problems,
 )
-from twopoint.expressions import eval_dual
+from twopoint.expressions import eval_dual, parse
 from twopoint.solvers import Method
 
 
@@ -55,6 +56,16 @@ def test_expected_cells():
 def test_find_problem_unknown():
     with pytest.raises(KeyError):
         find_problem("nope")
+
+
+def test_find_problem_searches_extra_before_builtins():
+    builtin = find_problem("atan(x)")
+    own = replace(builtin, source="atan(x) - 1", expression=parse("atan(x) - 1"))
+    assert find_problem("atan(x)", (own,)) is own
+    assert find_problem("cbrt(x)", (own,)) is find_problem("cbrt(x)")
+    with pytest.raises(KeyError) as info:
+        find_problem("nope", (own,))
+    assert info.value.args == ("no problem named 'nope'",)
 
 
 def test_iteration_count_validation():
@@ -156,3 +167,21 @@ def test_load_rejects_bad_json(tmp_path):
 def test_load_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_problems(tmp_path / "absent.json")
+
+
+@pytest.mark.parametrize(
+    ("value", "want"),
+    [
+        ("wat", "bad value 'wat' for 'newton@1', want a count or one of ['diverges', 'fails', 'oscillates']"),
+        (0, "bad value 0 for 'newton@1', want a positive integer"),
+        (True, "bad value True for 'newton@1', want a positive integer"),
+        (2.0, "bad value 2.0 for 'newton@1', want a positive integer"),
+        (None, "bad value None for 'newton@1', want a positive integer"),
+    ],
+)
+def test_bad_expected_value_names_entry_and_key(tmp_path, value, want):
+    path = tmp_path / "problems.json"
+    path.write_text(json.dumps([{"name": "t", "expr": "x", "starts": [1], "expected": {"newton@1": value}}]))
+    with pytest.raises(ProblemFileError) as info:
+        load_problems(path)
+    assert str(info.value) == f"entry 0, field 'expected': {want}"
