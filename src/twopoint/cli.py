@@ -41,6 +41,10 @@ class _UsageError(Exception):
     pass
 
 
+# options whose value may begin with "-", as in "--x0 -1e-05" or "--expr -x+1"
+_SIGNED_OPTIONS = frozenset(("--expr", "--problem", "--x0", "--x1", "--tol", "--delta"))
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags; the contract reserves 2 for
     # non-convergence, so route usage problems to exit 1 instead
@@ -48,6 +52,13 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
     def parse_args(self, args=None, namespace=None):
+        args = list(sys.argv[1:] if args is None else args)
+        # argparse takes a "-1e-05" or "-x+1" that follows its option for
+        # another option; attached as "--x0=-1e-05" it is read as the value.
+        # A "--"-prefixed word still counts as the next option.
+        for i in range(len(args) - 2, -1, -1):
+            if args[i] in _SIGNED_OPTIONS and args[i + 1][:1] == "-" and args[i + 1][:2] != "--":
+                args[i : i + 2] = [f"{args[i]}={args[i + 1]}"]
         parsed = super().parse_args(args, namespace)
         # argparse takes the "--" of "--flag=--" for the end-of-options
         # marker and stores []; no option here takes a list
@@ -300,7 +311,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the recursive-descent parser gives out on deeply nested input
+        # evaluation recurses once per tree level and gives out on a tree
+        # about a thousand levels deep; parsing has no depth limit
         print("error: expression nested too deeply", file=sys.stderr)
         return 1
     except (_UsageError, KeyError, ValueError, OSError) as err:

@@ -176,105 +176,91 @@ def _tokenize(text: str) -> list[_Tok]:
     return tokens
 
 
-# --- recursive-descent parser ----------------------------------------------
+# --- operator-precedence parser ---------------------------------------------
+
+# Binding strength of each binary operator, for parse and render alike; a
+# unary minus binds at _NEG, and render treats an atom as 5.  ^ is
+# right-associative, the others left-associative.
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_NEG = 3
 
 _ATOM_EXPECTED = ("number", "'x'", "'pi'", "'e'", "function name", "'('")
 
 
-class _Parser:
-    """Grammar rules over a token list; ``tok`` is the current token.
+def parse(text: str) -> Expression:
+    """Parse expression text into the unique tree given by the grammar.
 
-    Only "op" tokens have the text + - * / or ^, so the rules test the
-    operator text alone.
+    One loop over the tokens, without recursion, so parentheses nest
+    without limit.  It keeps parsed nodes on one stack and pending
+    operators on another as (precedence, operator) pairs, with precedence
+    from _PREC.  A unary minus is (_NEG, "neg"), and an open "(" or "func("
+    is a marker, (0, "(") or (0, func), that no reduction passes.  The loop
+    alternates between expecting an operand and expecting an operator.
+    A binary operator first reduces the stacked operators that bind at
+    least as tightly; ^ reduces only tighter ones, so it stays
+    right-associative and its exponent may begin with a unary minus.
     """
-
-    def __init__(self, tokens: list[_Tok]):
-        self.tokens = tokens
-        self.i = 0
-        self.tok = tokens[0]
-
-    def advance(self) -> None:
-        self.i += 1
-        self.tok = self.tokens[self.i]
-
-    def expect_rparen(self) -> None:
-        if self.tok[0] != "rparen":
-            raise ParseError("unbalanced parenthesis", self.tok[2], ("')'",))
-        self.advance()
-
-    def sum(self) -> Node:
-        node = self.term()
-        while (op := self.tok[1]) == "+" or op == "-":
-            self.advance()
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self) -> Node:
-        node = self.unary()
-        while (op := self.tok[1]) == "*" or op == "/":
-            self.advance()
-            node = BinOp(op, node, self.unary())
-        return node
-
-    def unary(self) -> Node:
-        if self.tok[1] == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Node:
-        base = self.atom()
-        if self.tok[1] == "^":
-            self.advance()
-            # right-associative; the exponent may carry a unary minus
-            return BinOp("^", base, self.unary())
-        return base
-
-    def atom(self) -> Node:
-        kind, text, pos = self.tok
+    tokens = _tokenize(text)
+    nodes: list[Node] = []
+    ops: list[tuple[int, str]] = []
+    i = 0
+    while True:
+        # expect an operand: unary minuses and openings, then an atom
+        kind, tok, pos = tokens[i]
+        i += 1
+        if tok == "-":
+            ops.append((_NEG, "neg"))
+            continue
+        if kind == "lparen":
+            ops.append((0, "("))
+            continue
         if kind == "number":
-            self.advance()
-            value = float(text)
+            value = float(tok)
             if not math.isfinite(value):
                 raise ParseError("number literal out of range", pos)
-            return Number(value)
-        if kind == "lparen":
-            self.advance()
-            node = self.sum()
-            self.expect_rparen()
-            return node
-        if kind == "ident":
-            self.advance()
-            if text == "x":
-                return Variable()
-            if text in CONSTANTS:
-                return Constant(text)
-            if text in FUNCTIONS:
-                if self.tok[0] != "lparen":
-                    raise ParseError(f"function {text!r} needs an argument list", self.tok[2], ("'('",))
-                self.advance()
-                arg = self.sum()
-                self.expect_rparen()
-                return Call(text, arg)
-            raise ParseError(f"unknown identifier {text!r}", pos)
-        raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos, _ATOM_EXPECTED)
-
-
-def parse(text: str) -> Expression:
-    """Parse expression text into the unique tree given by the grammar."""
-    parser = _Parser(_tokenize(text))
-    node = parser.sum()
-    kind, trailing, pos = parser.tok
-    if kind != "end":
-        raise ParseError(f"unexpected {trailing!r} after expression", pos)
-    return Expression(node)
+            nodes.append(Number(value))
+        elif kind != "ident":
+            raise ParseError(f"unexpected {tok!r}" if tok else "unexpected end of input", pos, _ATOM_EXPECTED)
+        elif tok == "x":
+            nodes.append(Variable())
+        elif tok in CONSTANTS:
+            nodes.append(Constant(tok))
+        elif tok not in FUNCTIONS:
+            raise ParseError(f"unknown identifier {tok!r}", pos)
+        elif tokens[i][0] != "lparen":
+            raise ParseError(f"function {tok!r} needs an argument list", tokens[i][2], ("'('",))
+        else:
+            ops.append((0, tok))
+            i += 1
+            continue
+        # expect an operator; a ")" closes a group and expects another
+        while True:
+            kind, tok, pos = tokens[i]
+            i += 1
+            # only "op" tokens have the text + - * / or ^
+            bound = _PREC[tok] + (tok == "^") if kind == "op" else 1
+            while ops and ops[-1][0] >= bound:
+                op = ops.pop()[1]
+                if op == "neg":
+                    nodes[-1] = Neg(nodes[-1])
+                else:
+                    right = nodes.pop()
+                    nodes[-1] = BinOp(op, nodes[-1], right)
+            if kind == "op":
+                ops.append((_PREC[tok], tok))
+                break
+            if not ops:
+                if kind == "end":
+                    return Expression(nodes[0])
+                raise ParseError(f"unexpected {tok!r} after expression", pos)
+            if kind != "rparen":
+                raise ParseError("unbalanced parenthesis", pos, ("')'",))
+            opened = ops.pop()[1]
+            if opened != "(":
+                nodes[-1] = Call(opened, nodes[-1])
 
 
 # --- rendering --------------------------------------------------------------
-
-# Precedence levels used for minimal parenthesization.  4 = ^, 3 = unary
-# minus, 2 = * /, 1 = + -, 5 = atoms.
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 
 
 def _num_text(value: float) -> str:
@@ -287,7 +273,7 @@ def _node_prec(node: Node) -> int:
     if isinstance(node, BinOp):
         return _PREC[node.op]
     if isinstance(node, Neg):
-        return 3
+        return _NEG
     return 5
 
 
@@ -302,11 +288,11 @@ def _render(node: Node, required: int) -> str:
     elif isinstance(node, Call):
         text = f"{node.func}({_render(node.arg, 1)})"
     elif isinstance(node, Neg):
-        text = "-" + _render(node.operand, 3)
+        text = "-" + _render(node.operand, _NEG)
     else:
         if node.op == "^":
             # left operand must be an atom, right may chain (right-assoc)
-            text = f"{_render(node.left, 5)}^{_render(node.right, 3)}"
+            text = f"{_render(node.left, 5)}^{_render(node.right, _NEG)}"
         else:
             text = f"{_render(node.left, prec)} {node.op} {_render(node.right, prec + 1)}"
     if prec < required:

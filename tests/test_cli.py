@@ -195,6 +195,32 @@ def test_double_dash_option_value_is_a_usage_error(capsys, flag):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "flag,value,rest",
+    [
+        ("--x0", "-1e-05", ("--expr", "x^2-1e-10", "--method", "secant")),
+        ("--x0", "-inf", ("--expr", "x^2-1", "--method", "newton")),
+        ("--x1", "-1e-05", ("--expr", "x^2-1e-10", "--method", "secant", "--x0", "1e-05")),
+        ("--tol", "-1e-3", ("--expr", "x^2-1", "--method", "newton", "--x0", "2")),
+        ("--delta", "-1e-3", ("--expr", "x^2-1", "--method", "twopoint", "--x0", "2")),
+        ("--expr", "-x+1", ("--method", "newton", "--x0", "2")),
+        ("--problem", "-x^4 + 3*x^2 + 2", ("--method", "twopoint", "--x0", "1")),
+    ],
+)
+def test_option_value_beginning_with_minus_reads_as_with_equals(capsys, flag, value, rest):
+    separate = run_cli(capsys, "solve", *rest, flag, value)
+    attached = run_cli(capsys, "solve", *rest, f"{flag}={value}")
+    assert separate == attached
+    assert "expected one argument" not in separate[2]
+
+
+def test_option_followed_by_an_option_still_lacks_its_value(capsys):
+    code, out, err = run_cli(capsys, "solve", "--expr", "x^2-1", "--x0", "--method", "newton")
+    assert code == 1
+    assert err == "error: argument --x0: expected one argument\n"
+    assert out == ""
+
+
 def test_problems_file_entry_shadows_builtin(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(json.dumps([{"name": "atan(x)", "expr": "atan(x) - 1", "starts": [1.0]}]))
@@ -313,7 +339,7 @@ def test_module_entry_point():
 
 
 def test_deeply_nested_expression_is_a_usage_error(tmp_path, capsys):
-    deep = "(" * 500 + "x - 1" + ")" * 500
+    deep = "sin(" * 3000 + "x" + ")" * 3000
     path = tmp_path / "deep.json"
     path.write_text(json.dumps([{"name": "deep", "expr": deep, "starts": [2.0]}]))
     for selection in (["--expr", deep], ["--problems", str(path), "--problem", "deep"]):
@@ -321,6 +347,15 @@ def test_deeply_nested_expression_is_a_usage_error(tmp_path, capsys):
         assert code == 1
         assert err == "error: expression nested too deeply\n"  # one line, no traceback
         assert out == ""
+
+
+def test_nested_parentheses_solve_like_the_bare_expression(capsys):
+    runs = []
+    for text in ("(" * 500 + "x - 1" + ")" * 500, "x - 1"):
+        code, out, _ = run_cli(capsys, "solve", "--expr", text, "--method", "newton", "--x0", "2", "--format", "json")
+        assert code == 0
+        runs.append({k: v for k, v in json.loads(out).items() if k in ("outcome", "root", "iterations")})
+    assert runs[0] == runs[1]
 
 
 def test_bench_csv_matches_golden_bytes(capsys):

@@ -149,7 +149,7 @@ def test_division_by_tiny_constant(x):
     assert d.deriv == 1.0 / 1e-170
 
 
-def test_underflowing_quotient_rule_with_zero_numerator_is_domain_error():
+def test_underflowing_quotient_rule_with_zero_numerator_is_zero():
     # (x - x)/x: rv*rv underflows to 0, and dividing by rv alone gives the
     # true value and derivative
     d = eval_dual(parse("(x - x)/x"), 1e-170)
@@ -281,6 +281,14 @@ def test_render_minimal_parens(text, want):
 def test_round_trip(text):
     tree = parse(text)
     assert parse(render(tree)) == tree
+
+
+def test_parentheses_nest_without_limit():
+    assert parse("(" * 5000 + "x - 1" + ")" * 5000) == parse("x - 1")
+    node = parse("-" * 5000 + "x").root
+    for _ in range(5000):
+        node = node.operand
+    assert node == Variable()
 
 
 def test_round_trip_over_builtin_corpus():

@@ -1,4 +1,5 @@
-"""Randomized invariant checks with fixed seeds (implementations in conftest)."""
+"""Randomized invariant checks with fixed seeds (implementations in conftest),
+and hypothesis properties run derandomized."""
 
 from conftest import (
     check_ad_matches_finite_differences,
@@ -8,6 +9,10 @@ from conftest import (
     check_translation_covariance,
     check_weighted_identity,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twopoint.expressions import FUNCTIONS, BinOp, Call, Constant, Expression, Neg, Number, Variable, parse, render
 
 
 def test_weighted_form_identity():
@@ -32,3 +37,30 @@ def test_root_fixed_point():
 
 def test_ad_agrees_with_finite_differences():
     assert check_ad_matches_finite_differences() >= 100
+
+
+# leaves of the trees parse can build: a parsed number is never negative
+LEAVES = st.one_of(
+    st.just(Variable()),
+    st.sampled_from([Constant("pi"), Constant("e")]),
+    st.builds(Number, st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)),
+    st.sampled_from([Number(5e-324), Number(1e16), Number(3.25e300)]),
+)
+
+
+def _depth_at_most(depth: int):
+    if depth == 0:
+        return LEAVES
+    child = _depth_at_most(depth - 1)
+    return st.one_of(
+        LEAVES,
+        st.builds(Neg, child),
+        st.builds(Call, st.sampled_from(FUNCTIONS), child),
+        st.builds(BinOp, st.sampled_from("+-*/^"), child, child),
+    )
+
+
+@given(_depth_at_most(6).map(Expression))
+@settings(derandomize=True, deadline=None, max_examples=500)
+def test_parse_inverts_render(expr):
+    assert parse(render(expr)) == expr
