@@ -51,21 +51,27 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
-    def parse_args(self, args=None, namespace=None):
+    # the subcommand's parser runs this again on the words after its name
+    def parse_known_args(self, args=None, namespace=None):
         args = list(sys.argv[1:] if args is None else args)
-        # argparse takes a "-1e-05" or "-x+1" that follows its option for
-        # another option; attached as "--x0=-1e-05" it is read as the value.
-        # A "--"-prefixed word still counts as the next option.
-        for i in range(len(args) - 2, -1, -1):
-            if args[i] in _SIGNED_OPTIONS and args[i + 1][:1] == "-" and args[i + 1][:2] != "--":
-                args[i : i + 2] = [f"{args[i]}={args[i + 1]}"]
-        parsed = super().parse_args(args, namespace)
-        # argparse takes the "--" of "--flag=--" for the end-of-options
-        # marker and stores []; no option here takes a list
-        for dest, value in vars(parsed).items():
-            if isinstance(value, list):
-                self.error(f"argument --{dest.replace('_', '-')}: expected one argument")
-        return parsed
+        valued = [s for s, action in self._option_string_actions.items() if action.nargs is None]
+        for i in range(len(args) - 1, -1, -1):
+            name, _, value = args[i].partition("=")
+            following = args[i + 1] if i + 1 < len(args) else ""
+            # "--x0=--" lacks its value as "--x0 --" does; argparse 3.13 would
+            # keep the "--" as the value, and earlier versions store []
+            if value == "--" and _abbreviates(name, valued):
+                args[i : i + 1] = [name, "--"]
+            # argparse reads a "-1e-05" or "-x+1" after its option as another
+            # option, but "--x0=-1e-05" as the value; a "--" word stays an option
+            elif following[:1] == "-" and following[:2] != "--" and _abbreviates(args[i], _SIGNED_OPTIONS):
+                args[i : i + 2] = [f"{args[i]}={following}"]
+        return super().parse_known_args(args, namespace)
+
+
+def _abbreviates(word: str, options) -> bool:
+    """Whether ``word`` is one of ``options`` or a prefix argparse may expand to one."""
+    return len(word) > 2 and any(option.startswith(word) for option in options)
 
 
 def _num(value: float) -> str:
@@ -75,9 +81,9 @@ def _num(value: float) -> str:
     return repr(value)
 
 
-def _json_row(row: dict) -> dict:
-    """The row with each NaN float replaced by None, which JSON writes as null."""
-    return {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in row.items()}
+def _blank(value):
+    """None for NaN, which csv writes as an empty cell and json as null."""
+    return None if value != value else value
 
 
 def _write(text: str, out: str | None) -> None:
@@ -92,13 +98,12 @@ def _write(text: str, out: str | None) -> None:
         raise OSError(f"cannot write {out!r}: {err}") from None
 
 
-def _write_csv(columns: Sequence[str], rows: list[dict], out: str | None) -> None:
-    """A header and one line per row; floats as _num text, other cells as they are."""
+def _write_csv(columns: Sequence[str], rows: list[tuple], out: str | None) -> None:
+    """A header and one line per row; a float writes as its repr and None as an empty cell."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_num(row[col]) if isinstance(row[col], float) else row[col] for col in columns])
+    writer.writerows(rows)
     _write(buf.getvalue(), out)
 
 
@@ -116,27 +121,19 @@ def _describe(outcome) -> str:
     return f"iteration budget exhausted (last x = {outcome.last_x!r})"
 
 
-def trace_rows(trace: Trace, reference_root: float | None) -> list[dict]:
-    """Per-iteration cells in TRACE_COLUMNS order; NaN marks a blank."""
-    abs_errors = ck = (math.nan,) * len(trace.records)
+def trace_rows(trace: Trace, reference_root: float | None) -> list[tuple]:
+    """Per-iteration cells in TRACE_COLUMNS order; None marks a blank."""
+    abs_errors = ck = (None,) * len(trace.records)
     if reference_root is not None:
         sequence = analysis.error_sequence(trace, reference_root)
         abs_errors = [abs(e) for e in sequence.errors]
         if len(abs_errors) >= 2:
             # ck is NaN where the validity filter rejected a pair; the last
             # record starts no pair
-            ck = analysis.ck_sequence(sequence).ck + (math.nan,)
+            ck = analysis.ck_sequence(sequence).ck + (None,)
     return [
-        {
-            "k": rec.k,
-            "x": rec.x,
-            "y": rec.y,
-            "dy": rec.dy,
-            "r_weight": rec.r_weight,
-            "abs_error": abs_error,
-            "ck": c,
-        }
-        for rec, abs_error, c in zip(trace.records, abs_errors, ck)
+        (rec.k, _blank(rec.x), _blank(rec.y), _blank(rec.dy), _blank(rec.r_weight), _blank(e), _blank(c))
+        for rec, e, c in zip(trace.records, abs_errors, ck)
     ]
 
 
@@ -166,23 +163,15 @@ def _add_selection_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", required=True, choices=[m.value for m in Method])
     p.add_argument("--x0", type=float, required=True)
     p.add_argument("--x1", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", type=int, dest="max_iter")
+    p.add_argument("--tol", type=float, default=SolverConfig.tol)
+    p.add_argument("--max-iter", type=int, dest="max_iter", default=SolverConfig.max_iter)
     p.add_argument("--seed", choices=["perturb", "guarded-newton"], default="perturb")
-    p.add_argument("--delta", type=float)
+    p.add_argument("--delta", type=float, default=Perturb.delta_rel)
 
 
 def _build_config(args) -> SolverConfig:
-    kwargs = {}
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
-    if args.max_iter is not None:
-        kwargs["max_iter"] = args.max_iter
-    if args.seed == "guarded-newton":
-        kwargs["seed_strategy"] = GuardedNewton()
-    elif args.delta is not None:
-        kwargs["seed_strategy"] = Perturb(args.delta)
-    return SolverConfig(**kwargs)
+    seed_strategy = GuardedNewton() if args.seed == "guarded-newton" else Perturb(args.delta)
+    return SolverConfig(args.tol, args.max_iter, seed_strategy)
 
 
 def _select(args) -> tuple[Expression, float | None, str]:
@@ -212,13 +201,13 @@ def _cmd_solve(args) -> int:
             "problem": label,
             "method": trace.method.value,
             "outcome": outcome.label,
-            "root": outcome.root if isinstance(outcome, Converged) else None,
+            "root": _blank(outcome.root) if isinstance(outcome, Converged) else None,
             "iterations": trace.iterations,
-            "final_x": trace.records[-1].x,
+            "final_x": _blank(trace.records[-1].x),
         }
         if args.verbose:
-            payload["records"] = [_json_row(row) for row in trace_rows(trace, root)]
-        print(json.dumps(_json_row(payload)))
+            payload["records"] = [dict(zip(TRACE_COLUMNS, row)) for row in trace_rows(trace, root)]
+        print(json.dumps(payload))
     elif args.format == "csv":
         _write_csv(TRACE_COLUMNS, trace_rows(trace, root), args.out)
         print(_describe(outcome), file=sys.stderr)
@@ -242,8 +231,8 @@ def _cmd_solve(args) -> int:
 _BENCH_METHODS = (Method.SECANT, Method.NEWTON, Method.TWO_POINT)
 
 
-def bench_rows(tables: Sequence[int]) -> list[dict]:
-    """One row per (problem, start, method), in deterministic table order."""
+def bench_rows(tables: Sequence[int]) -> list[tuple]:
+    """One BENCH_COLUMNS row per (problem, start, method), in table order; None marks a blank."""
     config = SolverConfig()
     rows = []
     for table in tables:
@@ -252,18 +241,9 @@ def bench_rows(tables: Sequence[int]) -> list[dict]:
             for start in prob.starts:
                 for method in _BENCH_METHODS:
                     trace = solve(prob.expression, method, start, config)
-                    expected = prob.expected.get((method, start))
-                    rows.append(
-                        {
-                            "problem": prob.name,
-                            "start": start,
-                            "method": method.value,
-                            "outcome": trace.outcome.label,
-                            "iterations": trace.iterations,
-                            "final_x": trace.records[-1].x,
-                            "comparison": _comparison(trace.outcome, trace.iterations, expected),
-                        }
-                    )
+                    outcome, iterations, final_x = trace.outcome, trace.iterations, _blank(trace.records[-1].x)
+                    comparison = _comparison(outcome, iterations, prob.expected.get((method, start)))
+                    rows.append((prob.name, start, method.value, outcome.label, iterations, final_x, comparison))
     return rows
 
 
@@ -271,7 +251,7 @@ def _cmd_bench(args) -> int:
     tables = {"1": (1,), "2": (2,), "all": (1, 2)}[args.table]
     rows = bench_rows(tables)
     if args.format == "json":
-        _write(json.dumps([_json_row(row) for row in rows], indent=2) + "\n", args.out)
+        _write(json.dumps([dict(zip(BENCH_COLUMNS, row)) for row in rows], indent=2) + "\n", args.out)
     else:
         _write_csv(BENCH_COLUMNS, rows, args.out)
     return 0

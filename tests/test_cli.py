@@ -221,6 +221,35 @@ def test_option_followed_by_an_option_still_lacks_its_value(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "flag,value,rest",
+    [
+        ("--ex", "-x+1", ("--method", "newton", "--x0", "2")),
+        ("--del", "-1e-3", ("--expr", "x^2-1", "--method", "twopoint", "--x0", "2")),
+        ("--x", "-1e-05", ("--expr", "x^2-1e-10", "--method", "secant")),
+    ],
+)
+def test_abbreviated_option_value_beginning_with_minus_reads_as_with_equals(capsys, flag, value, rest):
+    separate = run_cli(capsys, "solve", *rest, flag, value)
+    attached = run_cli(capsys, "solve", *rest, f"{flag}={value}")
+    assert separate == attached
+    assert "expected one argument" not in separate[2]
+
+
+@pytest.mark.parametrize(
+    "word,message",
+    [
+        ("--ex=--", "argument --expr: expected one argument"),
+        ("--wat=--", "unrecognized arguments: --wat=--"),
+    ],
+)
+def test_double_dash_value_of_abbreviated_or_unknown_option(capsys, word, message):
+    code, out, err = run_cli(capsys, "solve", word, "--method", "newton", "--x0", "3", "--expr", "x^2 - 2")
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
 def test_problems_file_entry_shadows_builtin(tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(json.dumps([{"name": "atan(x)", "expr": "atan(x) - 1", "starts": [1.0]}]))

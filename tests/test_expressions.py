@@ -3,6 +3,7 @@ import math
 import pytest
 
 from twopoint.expressions import (
+    FUNCTIONS,
     BinOp,
     Call,
     DomainError,
@@ -14,6 +15,7 @@ from twopoint.expressions import (
     eval_dual,
     parse,
     render,
+    _cbrt,
 )
 
 
@@ -303,3 +305,29 @@ def test_round_trip_over_builtin_corpus():
 def test_number_rendering(value, text):
     assert render(Expression(Number(value))) == text
     assert parse(text) == Expression(Number(value))
+
+
+# each builtin function with its math reference and in-domain points
+_FUNCTION_REFERENCES = {
+    "abs": (abs, (-2.5, 0.75)),
+    "atan": (math.atan, (-1.5, 0.3, 4.0)),
+    "cbrt": (_cbrt, (-8.0, 0.2, 5.0)),
+    "cos": (math.cos, (-2.0, 0.4, 3.0)),
+    "exp": (math.exp, (-3.0, 0.5, 2.0)),
+    "ln": (math.log, (0.2, 1.5, 40.0)),
+    "log10": (math.log10, (0.05, 2.0, 300.0)),
+    "sin": (math.sin, (-1.2, 0.4, 2.5)),
+    "sqrt": (math.sqrt, (0.3, 2.0, 90.0)),
+    "tan": (math.tan, (-1.0, 0.2, 1.3)),
+}
+
+
+@pytest.mark.parametrize("name", FUNCTIONS)
+def test_function_rule_matches_math_and_central_difference(name):
+    reference, points = _FUNCTION_REFERENCES[name]
+    expr = parse(f"{name}(x)")
+    for x in points:
+        got = eval_dual(expr, x)
+        assert got.value == reference(x)
+        h = 1e-5 * max(1.0, abs(x))
+        assert math.isclose(got.deriv, (reference(x + h) - reference(x - h)) / (2 * h), rel_tol=1e-6)
