@@ -13,6 +13,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -140,17 +141,10 @@ def trace_rows(trace: Trace, reference_root: float | None) -> list[tuple]:
 def _comparison(outcome, iterations: int, expected: corpus.ExpectedResult | None) -> str:
     if expected is None:
         return ""
-    if expected.kind == "iterations":
-        if isinstance(outcome, Converged):
-            delta = iterations - expected.count
-            return "match" if delta == 0 else f"count-delta={delta:+d}"
+    if outcome.label != expected.label:
         return "mismatch"
-    matched = {
-        "oscillates": Oscillating,
-        "diverges": Diverged,
-        "fails": DomainFailure,
-    }[expected.kind]
-    return "match" if isinstance(outcome, matched) else "mismatch"
+    delta = 0 if expected.count is None else iterations - expected.count
+    return "match" if delta == 0 else f"count-delta={delta:+d}"
 
 
 # --- argument plumbing -------------------------------------------------------
@@ -228,9 +222,6 @@ def _cmd_solve(args) -> int:
     return 0 if isinstance(outcome, Converged) else 2
 
 
-_BENCH_METHODS = (Method.SECANT, Method.NEWTON, Method.TWO_POINT)
-
-
 def bench_rows(tables: Sequence[int]) -> list[tuple]:
     """One BENCH_COLUMNS row per (problem, start, method), in table order; None marks a blank."""
     config = SolverConfig()
@@ -239,7 +230,7 @@ def bench_rows(tables: Sequence[int]) -> list[tuple]:
         problems = corpus.table1_problems() if table == 1 else corpus.table2_problems()
         for prob in problems:
             for start in prob.starts:
-                for method in _BENCH_METHODS:
+                for method in corpus.TABLE_METHODS:
                     trace = solve(prob.expression, method, start, config)
                     outcome, iterations, final_x = trace.outcome, trace.iterations, _blank(trace.records[-1].x)
                     comparison = _comparison(outcome, iterations, prob.expected.get((method, start)))
@@ -286,7 +277,15 @@ def _make_parser() -> _ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _make_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        # output still in the buffer meets a closed stdout here, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone, so there is no one to tell; devnull takes
+        # what is left in the buffer, which keeps the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except SeedingError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .expressions import DomainError, Expression, ParseError, eval_dual, parse
-from .solvers import Method
+from .solvers import Converged, Diverged, DomainFailure, Method, Oscillating
 
 __all__ = [
     "ExpectedResult",
@@ -27,6 +27,7 @@ __all__ = [
     "ProblemFileError",
     "ROOT_BASIN_MISMATCH",
     "START_UNCERTAIN",
+    "TABLE_METHODS",
     "builtin_problems",
     "find_problem",
     "iteration_count",
@@ -38,21 +39,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExpectedResult:
-    """A benchmark-table cell: an iteration count or a failure label."""
+    """A benchmark-table cell: the outcome label the paper reports, and its
+    iteration count when that label is converged."""
 
-    kind: str  # "iterations" | "oscillates" | "diverges" | "fails"
+    label: str  # an Outcome.label
     count: int | None = None
 
 
-OSCILLATES = ExpectedResult("oscillates")
-DIVERGES = ExpectedResult("diverges")
-FAILS = ExpectedResult("fails")
+OSCILLATES = ExpectedResult(Oscillating.label)
+DIVERGES = ExpectedResult(Diverged.label)
+FAILS = ExpectedResult(DomainFailure.label)
 
 
 def iteration_count(n: int) -> ExpectedResult:
     if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
         raise ValueError(f"iteration count must be a positive integer, got {n!r}")
-    return ExpectedResult("iterations", n)
+    return ExpectedResult(Converged.label, n)
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,12 @@ class ProblemFileError(ValueError):
 START_UNCERTAIN = frozenset({("sin(x)^2 - x^2 + 1", 2.0)})
 ROOT_BASIN_MISMATCH = frozenset({("(x - 2) * (x + 2)^4", 1.4)})
 
+# the paper's words for a failed run, as written in its tables and in
+# problem files
 _CELLS = {"oscillates": OSCILLATES, "diverges": DIVERGES, "fails": FAILS}
+
+# the methods of a table row, in the paper's column order
+TABLE_METHODS = (Method.SECANT, Method.NEWTON, Method.TWO_POINT)
 
 
 def _cell(value) -> ExpectedResult:
@@ -86,129 +93,59 @@ def _cell(value) -> ExpectedResult:
     return iteration_count(value)
 
 
-def _expected(rows: dict[float, tuple]) -> dict[tuple[Method, float], ExpectedResult]:
-    out: dict[tuple[Method, float], ExpectedResult] = {}
-    for start, (secant, newton, twopoint) in rows.items():
-        out[(Method.SECANT, start)] = _cell(secant)
-        out[(Method.NEWTON, start)] = _cell(newton)
-        out[(Method.TWO_POINT, start)] = _cell(twopoint)
-    return out
+def _problem(name: str, root: float | None, rows: dict[float, tuple], source: str = "") -> Problem:
+    """A built-in problem whose text is ``name`` unless ``source`` is given;
+    ``rows`` maps each start to its cells in TABLE_METHODS order."""
+    source = source or name
+    expected = {
+        (method, start): _cell(value)
+        for start, cells in rows.items()
+        for method, value in zip(TABLE_METHODS, cells)
+    }
+    return Problem(name, source, parse(source), root, tuple(rows), expected)
 
 
-def _problem(name: str, source: str, root: float | None, rows: dict[float, tuple]) -> Problem:
-    return Problem(
-        name=name,
-        source=source,
-        expression=parse(source),
-        reference_root=root,
-        starts=tuple(rows),
-        expected=_expected(rows),
-    )
-
-
-def _build_table1() -> tuple[Problem, ...]:
-    return (
-        _problem(
-            "sin(x)^2 - x^2 + 1",
-            "sin(x)^2 - x^2 + 1",
-            -1.404491648215340,
-            {2.0: (10, 8, 6), 1.0: (9, 6, 5), -1.0: (9, 7, 5), -3.0: (9, 7, 6)},
-        ),
-        _problem(
-            "(x - 2) * (x + 2)^4",
-            "(x - 2) * (x + 2)^4",
-            -2.000000000000000,
-            {-3.0: (168, 119, 83), 1.4: (116, 81, 60)},
-        ),
-        _problem(
-            "(x - 1)^6 - 1",
-            "(x - 1)^6 - 1",
-            2.000000000000000,
-            {1.5: (25, 17, 8), 2.5: (12, 8, 6), 3.5: (16, 11, 8)},
-        ),
-        _problem(
-            "sin(x) * exp(x) + ln(x^2 + 1)",
-            "sin(x) * exp(x) + ln(x^2 + 1)",
-            -0.603231971557215,
-            {-0.8: (8, 7, 5), -0.65: (8, 5, 4)},
-        ),
-        _problem(
-            "exp(x^2 + 7*x - 30) - 1",
-            "exp(x^2 + 7*x - 30) - 1",
-            3.000000000000000,
-            {4.0: (29, 20, 14), 4.5: (39, 28, 18)},
-        ),
-        _problem(
-            "x - 3 * ln(x)",
-            "x - 3 * ln(x)",
-            1.857183860207840,
-            {2.0: (8, 5, 4), 0.5: (11, 8, 5)},
-        ),
-    )
-
-
-def _build_table2() -> tuple[Problem, ...]:
-    return (
-        _problem(
-            "-x^4 + 3*x^2 + 2",
-            "-x^4 + 3*x^2 + 2",
-            1.887207676120680,
-            {1.0: (11, "oscillates", 7), 0.5: (23, "oscillates", 6)},
-        ),
-        _problem(
-            "log10(x)",
-            "log10(x)",
-            1.000000000000000,
-            {3.0: ("fails", "fails", 5)},
-        ),
-        _problem(
-            "atan(x)",
-            "atan(x)",
-            0.000000000000000,
-            {3.0: ("diverges", "diverges", 6), -3.0: ("diverges", "diverges", 6)},
-        ),
-        _problem(
-            "x^5 - x + 1",
-            "x^5 - x + 1",
-            -1.167303978261420,
-            {2.0: ("oscillates", "oscillates", 12), 3.0: (14, "oscillates", 15)},
-        ),
-        _problem(
-            "0.5*x^3 - 6*x^2 + 21.5*x - 22",
-            "0.5*x^3 - 6*x^2 + 21.5*x - 22",
-            4.000000000000000,
-            {3.0: (10, "oscillates", 7), 5.0: (8, "oscillates", 6)},
-        ),
-        _problem(
-            "cbrt(x)",
-            "cbrt(x)",
-            0.000000000000000,
-            {1.0: ("oscillates", "diverges", 101), -1.0: ("oscillates", "diverges", 101)},
-        ),
-        _problem(
-            "10*x*exp(-x^2) - 1 @ x0=3",
-            "10*x*exp(-x^2) - 1",
-            1.679630610428450,
-            {3.0: ("diverges", "diverges", 8)},
-        ),
-        _problem(
-            "10*x*exp(-x^2) - 1 @ x0=-1",
-            "10*x*exp(-x^2) - 1",
-            0.101025848315685,
-            {-1.0: ("diverges", "diverges", 11)},
-        ),
-    )
-
-
-_TABLE1 = _build_table1()
-_TABLE2 = _build_table2()
-_SINE_DEMO = Problem(
-    name="sin(x)",
-    source="sin(x)",
-    expression=parse("sin(x)"),
-    reference_root=0.0,
-    starts=(1.58079633,),
+_TABLE1 = (
+    _problem(
+        "sin(x)^2 - x^2 + 1",
+        -1.404491648215340,
+        {2.0: (10, 8, 6), 1.0: (9, 6, 5), -1.0: (9, 7, 5), -3.0: (9, 7, 6)},
+    ),
+    _problem("(x - 2) * (x + 2)^4", -2.000000000000000, {-3.0: (168, 119, 83), 1.4: (116, 81, 60)}),
+    _problem("(x - 1)^6 - 1", 2.000000000000000, {1.5: (25, 17, 8), 2.5: (12, 8, 6), 3.5: (16, 11, 8)}),
+    _problem("sin(x) * exp(x) + ln(x^2 + 1)", -0.603231971557215, {-0.8: (8, 7, 5), -0.65: (8, 5, 4)}),
+    _problem("exp(x^2 + 7*x - 30) - 1", 3.000000000000000, {4.0: (29, 20, 14), 4.5: (39, 28, 18)}),
+    _problem("x - 3 * ln(x)", 1.857183860207840, {2.0: (8, 5, 4), 0.5: (11, 8, 5)}),
 )
+_TABLE2 = (
+    _problem("-x^4 + 3*x^2 + 2", 1.887207676120680, {1.0: (11, "oscillates", 7), 0.5: (23, "oscillates", 6)}),
+    _problem("log10(x)", 1.000000000000000, {3.0: ("fails", "fails", 5)}),
+    _problem("atan(x)", 0.000000000000000, {3.0: ("diverges", "diverges", 6), -3.0: ("diverges", "diverges", 6)}),
+    _problem("x^5 - x + 1", -1.167303978261420, {2.0: ("oscillates", "oscillates", 12), 3.0: (14, "oscillates", 15)}),
+    _problem(
+        "0.5*x^3 - 6*x^2 + 21.5*x - 22",
+        4.000000000000000,
+        {3.0: (10, "oscillates", 7), 5.0: (8, "oscillates", 6)},
+    ),
+    _problem(
+        "cbrt(x)",
+        0.000000000000000,
+        {1.0: ("oscillates", "diverges", 101), -1.0: ("oscillates", "diverges", 101)},
+    ),
+    _problem(
+        "10*x*exp(-x^2) - 1 @ x0=3",
+        1.679630610428450,
+        {3.0: ("diverges", "diverges", 8)},
+        source="10*x*exp(-x^2) - 1",
+    ),
+    _problem(
+        "10*x*exp(-x^2) - 1 @ x0=-1",
+        0.101025848315685,
+        {-1.0: ("diverges", "diverges", 11)},
+        source="10*x*exp(-x^2) - 1",
+    ),
+)
+_SINE_DEMO = _problem("sin(x)", 0.0, {1.58079633: ()})
 
 
 def table1_problems() -> tuple[Problem, ...]:

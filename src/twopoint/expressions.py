@@ -269,40 +269,66 @@ def _num_text(value: float) -> str:
     return repr(value)
 
 
-def _node_prec(node: Node) -> int:
-    if isinstance(node, BinOp):
-        return _PREC[node.op]
-    if isinstance(node, Neg):
-        return _NEG
-    return 5
+def _postorder(root: Node) -> list[Node]:
+    """Every node of the tree in post-order: left subtree, right subtree, node.
+
+    Built without recursion: the loop lists each node before its
+    descendants, a right subtree before its left sibling, and the list is
+    then reversed.
+    """
+    order: list[Node] = []
+    todo = [root]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        kind = type(node)
+        if kind is BinOp:
+            todo.append(node.left)
+            todo.append(node.right)
+        elif kind is Call:
+            todo.append(node.arg)
+        elif kind is Neg:
+            todo.append(node.operand)
+    order.reverse()
+    return order
 
 
-def _render(node: Node, required: int) -> str:
-    prec = _node_prec(node)
-    if isinstance(node, Number):
-        text = _num_text(node.value)
-    elif isinstance(node, Variable):
-        text = "x"
-    elif isinstance(node, Constant):
-        text = node.name
-    elif isinstance(node, Call):
-        text = f"{node.func}({_render(node.arg, 1)})"
-    elif isinstance(node, Neg):
-        text = "-" + _render(node.operand, _NEG)
-    else:
-        if node.op == "^":
-            # left operand must be an atom, right may chain (right-assoc)
-            text = f"{_render(node.left, 5)}^{_render(node.right, _NEG)}"
-        else:
-            text = f"{_render(node.left, prec)} {node.op} {_render(node.right, prec + 1)}"
-    if prec < required:
-        return f"({text})"
-    return text
+def _operand(rendered: tuple[str, int], required: int) -> str:
+    """The text of a rendered (text, precedence) pair, in parentheses when
+    it binds less tightly than ``required``."""
+    text, prec = rendered
+    return f"({text})" if prec < required else text
 
 
 def render(expr: Expression) -> str:
-    """Canonical text form; ``parse(render(e))`` reproduces parser-built trees."""
-    return _render(expr.root, 1)
+    """Canonical text form; ``parse(render(e))`` reproduces parser-built trees.
+
+    Builds (text, precedence) pairs on a stack in post-order, without
+    recursion; an atom or a call has precedence 5.
+    """
+    done: list[tuple[str, int]] = []
+    for node in _postorder(expr.root):
+        kind = type(node)
+        if kind is BinOp:
+            right = done.pop()
+            prec = _PREC[node.op]
+            if node.op == "^":
+                # left operand must be an atom, right may chain (right-assoc)
+                text = f"{_operand(done[-1], 5)}^{_operand(right, _NEG)}"
+            else:
+                text = f"{_operand(done[-1], prec)} {node.op} {_operand(right, prec + 1)}"
+            done[-1] = (text, prec)
+        elif kind is Call:
+            done[-1] = (f"{node.func}({done[-1][0]})", 5)
+        elif kind is Neg:
+            done[-1] = ("-" + _operand(done[-1], _NEG), _NEG)
+        elif kind is Variable:
+            done.append(("x", 5))
+        elif kind is Constant:
+            done.append((node.name, 5))
+        else:
+            done.append((_num_text(node.value), 5))
+    return done[0][0]
 
 
 # --- evaluation -------------------------------------------------------------
@@ -568,28 +594,10 @@ _CALL_RULES = {
 
 
 def _compile(root: Node) -> _Fn:
-    """Closure chain of a tree, built without recursion.
-
-    The first loop lists every node before its descendants, with a right
-    subtree listed before its left sibling.  Read backwards, the list
-    visits left subtree, right subtree, node: the second loop builds the
-    closures in that order on a stack.
-    """
-    order: list[Node] = []
-    todo = [root]
-    while todo:
-        node = todo.pop()
-        order.append(node)
-        kind = type(node)
-        if kind is BinOp:
-            todo.append(node.left)
-            todo.append(node.right)
-        elif kind is Call:
-            todo.append(node.arg)
-        elif kind is Neg:
-            todo.append(node.operand)
+    """Closure chain of a tree, built without recursion: the closures are
+    built on a stack in post-order."""
     built: list[_Fn] = []
-    for node in reversed(order):
+    for node in _postorder(root):
         kind = type(node)
         if kind is BinOp:
             right = built.pop()

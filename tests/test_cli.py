@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -410,3 +411,27 @@ def test_underflowing_quotient_rule_does_not_crash():
     )
     assert proc.returncode in (0, 2)
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trace", "--problem", "cbrt(x)", "--method", "twopoint", "--x0", "1"),
+        ("solve", "--expr", "x^2 - 2", "--method", "newton", "--x0", "1", "--format", "json"),
+    ],
+    ids=["trace", "solve-json"],
+)
+def test_closed_stdout_exits_quietly(argv):
+    # a large output meets the closed pipe while it is written, a small one
+    # only when the buffer is flushed; stdout must be buffered for the latter
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "twopoint", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, text=True
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""

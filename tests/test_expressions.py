@@ -267,6 +267,15 @@ def test_render_minimal_parens(text, want):
 
 @pytest.mark.parametrize(
     "text",
+    ["-" * 5000 + "x", " + ".join(["x"] + ["1"] * 2999)],
+    ids=["5000-minuses", "3000-term-sum"],
+)
+def test_render_deep_tree_without_recursion(text):
+    assert render(parse(text)) == text
+
+
+@pytest.mark.parametrize(
+    "text",
     [
         "x",
         "sin(x)^2 - x^2 + 1",

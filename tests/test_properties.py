@@ -9,10 +9,26 @@ from conftest import (
     check_translation_covariance,
     check_weighted_identity,
 )
-from hypothesis import given, settings
+from typing import get_args
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twopoint.expressions import FUNCTIONS, BinOp, Call, Constant, Expression, Neg, Number, Variable, parse, render
+from twopoint.expressions import (
+    FUNCTIONS,
+    BinOp,
+    Call,
+    Constant,
+    DomainError,
+    Expression,
+    Neg,
+    Number,
+    Variable,
+    eval_dual,
+    parse,
+    render,
+)
+from twopoint.solvers import GuardedNewton, Method, Outcome, Perturb, SeedingError, SolverConfig, solve
 
 
 def test_weighted_form_identity():
@@ -64,3 +80,19 @@ def _depth_at_most(depth: int):
 @settings(derandomize=True, deadline=None, max_examples=500)
 def test_parse_inverts_render(expr):
     assert parse(render(expr)) == expr
+
+
+@given(_depth_at_most(4).map(Expression), st.floats(min_value=-1e6, max_value=1e6))
+@settings(derandomize=True, deadline=None, max_examples=500)
+def test_solve_returns_an_outcome_or_raises_seeding_error(expr, x0):
+    try:
+        eval_dual(expr, x0)
+    except DomainError:
+        assume(False)
+    for config in (SolverConfig(), SolverConfig(seed_strategy=GuardedNewton())):
+        for method in Method:
+            try:
+                trace = solve(expr, method, x0, config)
+            except SeedingError:
+                continue
+            assert isinstance(trace.outcome, get_args(Outcome))
