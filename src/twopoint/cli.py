@@ -8,9 +8,7 @@ Exit codes: 0 when the run converged, 2 for any non-convergent outcome, and
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import os
@@ -100,12 +98,22 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _write_csv(columns: Sequence[str], rows: list[tuple], out: str | None) -> None:
-    """A header and one line per row; a float writes as its repr and None as an empty cell."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-    _write(buf.getvalue(), out)
+    """A header and one line per row, as ``csv.writer`` writes them with LF line ends.
+
+    A number writes as its repr and None as an empty cell; text is quoted,
+    with its quotes doubled, only when it holds a comma, a quote, CR or LF
+    (csv quotes CR only from Python 3.13 on).
+    """
+    lines = [",".join([_csv_text(name) for name in columns])]
+    for row in rows:
+        lines.append(",".join(["" if v is None else _csv_text(v) if isinstance(v, str) else repr(v) for v in row]))
+    _write("\n".join(lines) + "\n", out)
+
+
+def _csv_text(text: str) -> str:
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _describe(outcome) -> str:
@@ -132,10 +140,22 @@ def trace_rows(trace: Trace, reference_root: float | None) -> list[tuple]:
             # ck is NaN where the validity filter rejected a pair; the last
             # record starts no pair
             ck = analysis.ck_sequence(sequence).ck + (None,)
-    return [
-        (rec.k, _blank(rec.x), _blank(rec.y), _blank(rec.dy), _blank(rec.r_weight), _blank(e), _blank(c))
-        for rec, e, c in zip(trace.records, abs_errors, ck)
-    ]
+    rows = []
+    for rec, e, c in zip(trace.records, abs_errors, ck):
+        x, y, dy, r = rec.x, rec.y, rec.dy, rec.r_weight
+        # NaN is the one value unequal to itself; it blanks as _blank does
+        rows.append(
+            (
+                rec.k,
+                x if x == x else None,
+                y if y == y else None,
+                dy if dy == dy else None,
+                r if r == r else None,
+                e if e == e else None,
+                c if c == c else None,
+            )
+        )
+    return rows
 
 
 def _comparison(outcome, iterations: int, expected: corpus.ExpectedResult | None) -> str:

@@ -17,7 +17,7 @@ failure, derivative stall, or iteration budget exhausted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Union
 
@@ -270,15 +270,6 @@ def seed_second_point(expr: Expression, x0: float, config: SolverConfig | None =
     raise SeedingError(f"no in-domain second point near x0={x0!r}")
 
 
-def _converged(records: Sequence[IterationRecord], tol: float) -> bool:
-    rec = records[-1]
-    if rec.y == 0.0:
-        return True
-    if len(records) < 2:
-        return False
-    return abs(rec.x - records[-2].x) + abs(rec.y) < tol
-
-
 def classify(
     records: Sequence[IterationRecord],
     config: SolverConfig,
@@ -293,43 +284,42 @@ def classify(
     (Newton only), oscillation, iteration budget.
     """
     rec = records[-1]
-    if _converged(records, config.tol):
-        return Converged(rec.x, _steps(rec.k, method))
+    k, x, y = rec.k, rec.x, rec.y
+    if y == 0.0 or (len(records) > 1 and abs(x - records[-2].x) + abs(y) < config.tol):
+        return Converged(x, _steps(k, method))
     if domain_error is not None:
-        return DomainFailure(rec.k + 1, str(domain_error))
-    if not math.isfinite(rec.x) or abs(rec.x) > DIVERGENCE_BOUND:
-        return Diverged(rec.x)
-    if method is Method.NEWTON and rec.dy == 0.0 and rec.y != 0.0:
-        return DerivativeStall(rec.k + 1)
-    osc = _oscillation(records)
-    if osc is not None:
-        return osc
+        return DomainFailure(k + 1, str(domain_error))
+    # NaN fails every comparison, so this also catches a NaN or infinite x
+    if not abs(x) <= DIVERGENCE_BOUND:
+        return Diverged(x)
+    if rec.dy == 0.0 and y != 0.0 and method is Method.NEWTON:
+        return DerivativeStall(k + 1)
+    if k >= CYCLE_MIN_ITERS:
+        osc = _oscillation(records)
+        if osc is not None:
+            return osc
     if steps_exhausted:
-        return MaxIterationsExceeded(rec.x)
+        return MaxIterationsExceeded(x)
     return None
 
 
 def _oscillation(records: Sequence[IterationRecord]) -> Oscillating | None:
-    k = records[-1].k
-    if k < CYCLE_MIN_ITERS:
-        return None
+    """The cycle the last records repeat, if any; needs k >= CYCLE_MIN_ITERS."""
     # k >= CYCLE_MIN_ITERS > CYCLE_PERIOD_MAX + 1, so every lag below is in range
     x, x_prev = records[-1].x, records[-2].x
-
-    def ctol(v: float) -> float:
-        return CYCLE_TOL_REL * max(1.0, abs(v))
-
     # A genuine cycle keeps moving while near-repeating at lag p; requiring
     # a non-shrinking movement rejects slow (possibly sign-alternating)
     # convergence, whose lag-p differences also drop below any tolerance.
     move = abs(x - x_prev)
-    if move <= ctol(x):
+    tol = CYCLE_TOL_REL * max(1.0, abs(x))
+    if move <= tol:
         return None
+    tol_prev = CYCLE_TOL_REL * max(1.0, abs(x_prev))
     for p in range(2, CYCLE_PERIOD_MAX + 1):
         lag, lag_prev = records[-1 - p].x, records[-2 - p].x
         if move < 0.75 * abs(lag - lag_prev):
             continue
-        if abs(x - lag) <= ctol(x) and abs(x_prev - lag_prev) <= ctol(x_prev):
+        if abs(x - lag) <= tol and abs(x_prev - lag_prev) <= tol_prev:
             return Oscillating(p)
     return None
 
@@ -352,7 +342,10 @@ def solve(
     A non-finite x0 or x1, or x1 == x0, raises ValueError.
     """
     config = config or SolverConfig()
-    seeds = 1 if method is Method.NEWTON else 2
+    newton, secant = method is Method.NEWTON, method is Method.SECANT
+    seeds = 1 if newton else 2
+    # the index of the record that spends the step budget; seeds are not steps
+    last_k = config.max_iter if newton else config.max_iter + 1
     records: list[IterationRecord] = []
 
     def visit(x: float) -> Outcome | None:
@@ -365,13 +358,11 @@ def solve(
         if k < seeds or math.isfinite(x):
             try:
                 d = eval_dual(expr, x)
-                y, dy = d.value, (d.deriv if method is not Method.SECANT else _NAN)
+                y, dy = d.value, (_NAN if secant else d.deriv)
             except DomainError as err:
                 error = err
         records.append(IterationRecord(k, x, y, dy, _NAN))
-        return classify(
-            records, config, method, domain_error=error, steps_exhausted=_steps(k, method) >= config.max_iter
-        )
+        return classify(records, config, method, domain_error=error, steps_exhausted=k >= last_k)
 
     outcome = visit(x0)
     if outcome is None and seeds == 2:
@@ -383,9 +374,9 @@ def solve(
 
     while outcome is None:
         cur = records[-1]
-        if method is Method.NEWTON:
+        if newton:
             x_next = newton_step(cur.x, cur.y, cur.dy)
-        elif method is Method.SECANT:
+        elif secant:
             prev = records[-2]
             try:
                 x_next = secant_step(prev.x, prev.y, cur.x, cur.y)
@@ -399,7 +390,7 @@ def solve(
                 x_next = newton_step(cur.x, cur.y, cur.dy)
             else:
                 x_next, r = twopoint_step(prev.x, prev.y, cur.x, cur.y, cur.dy)
-                records[-1] = replace(cur, r_weight=r)
+                records[-1] = IterationRecord(cur.k, cur.x, cur.y, cur.dy, r)
             if x_next == prev.x:
                 # an exact return to x_prev (the dy = 0 limit) would start a
                 # 2-cycle; nudge to break it

@@ -1,14 +1,18 @@
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twopoint.cli import main
+from twopoint.cli import _write_csv, main
 
 
 def run_cli(capsys, *argv):
@@ -435,3 +439,39 @@ def test_closed_stdout_exits_quietly(argv):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+def _written_csv(columns, rows):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _write_csv(columns, rows, None)
+    return buf.getvalue()
+
+
+# CR is left out: csv quotes it from Python 3.13 on, and _write_csv on every
+# version (test_csv_text_with_cr_is_quoted)
+_CSV_TEXT = st.text(alphabet=',"\n ab\u00e9', max_size=6)
+_CSV_CELL = st.one_of(
+    st.none(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e16, math.inf, -math.inf]),
+    _CSV_TEXT,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    columns=st.lists(_CSV_TEXT, min_size=2, max_size=8),
+    rows=st.lists(st.lists(_CSV_CELL, min_size=2, max_size=8).map(tuple), max_size=6),
+)
+def test_write_csv_matches_csv_writer(columns, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    assert _written_csv(columns, rows) == buf.getvalue()
+
+
+def test_csv_text_with_cr_is_quoted():
+    assert _written_csv(("a", "b"), [("x\ry", 1), ('"', None)]) == 'a,b\n"x\ry",1\n"""",\n'

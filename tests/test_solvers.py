@@ -2,8 +2,10 @@ import math
 
 import pytest
 
-from twopoint.expressions import eval_dual, parse
+from twopoint.expressions import DomainError, eval_dual, parse
 from twopoint.solvers import (
+    CYCLE_MIN_ITERS,
+    DIVERGENCE_BOUND,
     Converged,
     DegenerateSlopeError,
     DerivativeStall,
@@ -376,3 +378,47 @@ def test_classify_max_iter():
     records = [_rec(0, 3.0), _rec(1, 2.0)]
     out = classify(records, config, Method.NEWTON, steps_exhausted=True)
     assert out == MaxIterationsExceeded(2.0)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_classify_first_record_at_root_converges(method):
+    assert classify([_rec(0, 2.5, y=0.0)], SolverConfig(), method) == Converged(2.5, 0)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -(DIVERGENCE_BOUND * 2)])
+def test_classify_non_finite_or_far_x_diverges(x):
+    out = classify([_rec(0, 3.0), _rec(1, x)], SolverConfig(), Method.TWO_POINT)
+    assert isinstance(out, Diverged)
+    assert out.last_x == x or math.isnan(out.last_x)
+
+
+def test_classify_nan_derivative_never_stalls():
+    records = [_rec(0, 3.0), _rec(1, 2.0, dy=math.nan)]
+    assert classify(records, SolverConfig(), Method.SECANT) is None
+    assert classify(records, SolverConfig(), Method.NEWTON) is None
+
+
+# a 2-cycle whose last record is the first one searched for cycles
+_CYCLE = [_rec(k, 3.0 if k % 2 == 0 else 5.0) for k in range(CYCLE_MIN_ITERS + 1)]
+_LN_ERROR = DomainError("ln", -1.0)
+
+
+def test_classify_looks_for_cycles_from_cycle_min_iters():
+    assert classify(_CYCLE[:-1], SolverConfig(), Method.SECANT) is None
+    assert classify(_CYCLE, SolverConfig(), Method.SECANT) == Oscillating(2)
+
+
+@pytest.mark.parametrize(
+    "records, method, domain_error, expected",
+    [
+        ([_rec(0, 3.0), _rec(1, 2.0, y=0.0)], Method.NEWTON, None, Converged(2.0, 1)),
+        ([_rec(0, 3.0), _rec(1, 2.0)], Method.NEWTON, _LN_ERROR, DomainFailure(2, str(_LN_ERROR))),
+        ([_rec(0, 3.0), _rec(1, 2e12)], Method.SECANT, None, Diverged(2e12)),
+        ([_rec(0, 3.0), _rec(1, 2.0, dy=0.0)], Method.NEWTON, None, DerivativeStall(2)),
+        (_CYCLE, Method.TWO_POINT, None, Oscillating(2)),
+    ],
+    ids=["converged", "domain-failure", "diverged", "stall", "oscillating"],
+)
+def test_classify_budget_loses_to_every_other_outcome(records, method, domain_error, expected):
+    out = classify(records, SolverConfig(), method, domain_error=domain_error, steps_exhausted=True)
+    assert out == expected
