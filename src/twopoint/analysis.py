@@ -53,8 +53,8 @@ class ErrorSequence:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    ck: tuple[float, ...]  # NaN where the validity filter rejected the pair
-    valid_mask: tuple[bool, ...]
+    # NaN where the validity filter rejected the pair; a valid c_k is finite
+    ck: tuple[float, ...]
     # median COC over the tail window; present only with >= 3 valid entries
     # and at least one usable COC
     estimated_order: float | None
@@ -64,6 +64,12 @@ class ConvergenceReport:
 
 
 def error_sequence(trace: Trace, reference_root: float) -> ErrorSequence:
+    """Signed errors x_k - reference_root of every record, in order.
+
+    ``seeds`` holds how many leading records are seed points rather than
+    results of a step: 1 for Newton, 2 for secant and two-point, and 1 for
+    a run that stopped at x0.
+    """
     if not math.isfinite(reference_root):
         raise ValueError("reference root must be finite")
     errors = tuple(rec.x - reference_root for rec in trace.records)
@@ -86,16 +92,8 @@ def ck_sequence(errors: ErrorSequence) -> ConvergenceReport:
     floor = _FLOOR_FACTOR * max(1.0, abs(errors.reference_root))
     # log|E_k| inside the band (floor, 1), None outside it
     logs = [math.log(a) if floor < a < 1.0 else None for a in map(abs, errs)]
-    ck: list[float] = []
-    mask: list[bool] = []
-    for la, lb in zip(logs, logs[1:]):
-        if la is not None and lb is not None:
-            ck.append(lb / la)
-            mask.append(True)
-        else:
-            ck.append(math.nan)
-            mask.append(False)
-    valid = [i for i, ok in enumerate(mask) if ok]
+    ck = [math.nan if la is None or lb is None else lb / la for la, lb in zip(logs, logs[1:])]
+    valid = [i for i, c in enumerate(ck) if c == c]
     tail = valid[-_ORDER_TAIL:] if len(valid) >= 3 else []
     cocs: list[float] = []
     for i, j in zip(tail, tail[1:]):
@@ -105,8 +103,8 @@ def ck_sequence(errors: ErrorSequence) -> ConvergenceReport:
         if den != 0.0:
             cocs.append((logs[j + 1] - logs[j]) / den)
     if not cocs:
-        return ConvergenceReport(tuple(ck), tuple(mask), None, 0)
-    return ConvergenceReport(tuple(ck), tuple(mask), statistics.median(cocs), len(tail))
+        return ConvergenceReport(tuple(ck), None, 0)
+    return ConvergenceReport(tuple(ck), statistics.median(cocs), len(tail))
 
 
 def weight_sequence(trace: Trace) -> tuple[tuple[float, float, float], ...]:

@@ -205,10 +205,7 @@ def _select(args) -> tuple[Expression, float | None, str]:
 def _cmd_solve(args) -> int:
     """``solve``, and ``trace``, which is ``solve --format csv`` plus ``--out``."""
     expression, root, label = _select(args)
-    config = _build_config(args)
-    if args.x1 is not None and args.x1 == args.x0:
-        raise _UsageError("--x1 must differ from --x0")
-    trace = solve(expression, Method(args.method), args.x0, config, args.x1)
+    trace = solve(expression, Method(args.method), args.x0, _build_config(args), args.x1)
     outcome = trace.outcome
     if args.format == "json":
         payload = {

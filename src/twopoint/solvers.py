@@ -71,6 +71,10 @@ class Method(Enum):
     TWO_POINT = "twopoint"
 
 
+# starting points each method needs before its first step; seeds are not steps
+_SEEDS = {Method.NEWTON: 1, Method.SECANT: 2, Method.TWO_POINT: 2}
+
+
 @dataclass(frozen=True)
 class Perturb:
     """Seed the second point at ``x0 + delta_rel * max(1, |x0|)``.
@@ -155,7 +159,7 @@ class DomainFailure:
 
 @dataclass(frozen=True)
 class DerivativeStall:
-    iteration: int
+    iteration: int  # 1-based index of the step that could not be taken
     label = "derivative-stall"
 
 
@@ -182,8 +186,8 @@ class Trace:
 
 
 def _steps(last_k: int, method: Method) -> int:
-    """Steps taken up to record ``last_k``; seed points are not steps."""
-    return last_k if method is Method.NEWTON else max(last_k - 1, 0)
+    """Steps taken up to record ``last_k``; a failure there names the next one."""
+    return max(last_k + 1 - _SEEDS[method], 0)
 
 
 class SeedingError(ValueError):
@@ -288,12 +292,12 @@ def classify(
     if y == 0.0 or (len(records) > 1 and abs(x - records[-2].x) + abs(y) < config.tol):
         return Converged(x, _steps(k, method))
     if domain_error is not None:
-        return DomainFailure(k + 1, str(domain_error))
+        return DomainFailure(_steps(k, method) + 1, str(domain_error))
     # NaN fails every comparison, so this also catches a NaN or infinite x
     if not abs(x) <= DIVERGENCE_BOUND:
         return Diverged(x)
     if rec.dy == 0.0 and y != 0.0 and method is Method.NEWTON:
-        return DerivativeStall(k + 1)
+        return DerivativeStall(_steps(k, method) + 1)
     if k >= CYCLE_MIN_ITERS:
         osc = _oscillation(records)
         if osc is not None:
@@ -343,9 +347,9 @@ def solve(
     """
     config = config or SolverConfig()
     newton, secant = method is Method.NEWTON, method is Method.SECANT
-    seeds = 1 if newton else 2
-    # the index of the record that spends the step budget; seeds are not steps
-    last_k = config.max_iter if newton else config.max_iter + 1
+    seeds = _SEEDS[method]
+    # the index of the record that spends the step budget
+    last_k = config.max_iter + seeds - 1
     records: list[IterationRecord] = []
 
     def visit(x: float) -> Outcome | None:
@@ -381,7 +385,7 @@ def solve(
             try:
                 x_next = secant_step(prev.x, prev.y, cur.x, cur.y)
             except DegenerateSlopeError:
-                outcome = DerivativeStall(cur.k + 1)
+                outcome = DerivativeStall(_steps(cur.k, method) + 1)
                 break
         else:
             prev = records[-2]

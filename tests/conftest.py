@@ -18,7 +18,18 @@ from twopoint.expressions import (
     eval_dual,
     parse,
 )
-from twopoint.solvers import Method, newton_step, secant_step, solve, twopoint_step
+from twopoint.solvers import (
+    Converged,
+    DerivativeStall,
+    DomainFailure,
+    MaxIterationsExceeded,
+    Method,
+    Trace,
+    newton_step,
+    secant_step,
+    solve,
+    twopoint_step,
+)
 
 # in-domain sampling windows per corpus source, away from singular points
 SAMPLE_WINDOWS = {
@@ -52,6 +63,23 @@ CONVERGING_SETUPS = [
 ]
 
 METHODS = (Method.NEWTON, Method.SECANT, Method.TWO_POINT)
+
+
+def step_numbering_holds(trace: Trace) -> bool:
+    """Whether the outcome numbers steps as ``trace.iterations`` counts them.
+
+    A converged run took ``iterations`` steps, a domain failure or a
+    derivative stall names step ``iterations + 1`` (the one that could not
+    be taken), and an exhausted budget took exactly ``max_iter`` steps.
+    """
+    out = trace.outcome
+    if isinstance(out, Converged):
+        return out.iterations == trace.iterations
+    if isinstance(out, (DomainFailure, DerivativeStall)):
+        return out.iteration == trace.iterations + 1
+    if isinstance(out, MaxIterationsExceeded):
+        return trace.iterations == trace.config.max_iter
+    return True
 
 
 def scale_expression(c: float, expr: Expression) -> Expression:

@@ -354,6 +354,20 @@ def test_equal_x1_rejected(capsys):
     assert "differ" in err
 
 
+@pytest.mark.parametrize(
+    "method, expr, x0",
+    [
+        ("newton", "x^2 - 2", "1"),  # Newton ignores x1
+        ("secant", "x^2-4", "2"),  # a root x0 converges before x1 is looked at
+    ],
+)
+def test_equal_x1_accepted_where_solve_accepts_it(capsys, method, expr, x0):
+    code, out, err = run_cli(capsys, "solve", "--expr", expr, "--method", method, "--x0", x0, "--x1", x0)
+    assert code == 0
+    assert "converged" in out
+    assert err == ""
+
+
 def test_invalid_tol_exit_one(capsys):
     code, _, err = run_cli(
         capsys, "solve", "--expr", "x", "--method", "newton", "--x0", "1", "--tol", "0"

@@ -8,6 +8,7 @@ from conftest import (
     check_scale_invariance,
     check_translation_covariance,
     check_weighted_identity,
+    step_numbering_holds,
 )
 from typing import get_args
 
@@ -96,3 +97,4 @@ def test_solve_returns_an_outcome_or_raises_seeding_error(expr, x0):
             except SeedingError:
                 continue
             assert isinstance(trace.outcome, get_args(Outcome))
+            assert step_numbering_holds(trace)

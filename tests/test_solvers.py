@@ -1,7 +1,9 @@
 import math
 
 import pytest
+from conftest import step_numbering_holds
 
+from twopoint.corpus import builtin_problems
 from twopoint.expressions import DomainError, eval_dual, parse
 from twopoint.solvers import (
     CYCLE_MIN_ITERS,
@@ -277,12 +279,27 @@ def test_non_finite_start_raises():
 
 
 def test_domain_failure_at_explicit_x1():
+    # x1 has no ordinate, so step 1 cannot be taken
     trace = solve(parse("ln(x)"), Method.SECANT, 2.0, x1=-1.0)
     out = trace.outcome
     assert isinstance(out, DomainFailure)
-    assert out.iteration == 2
+    assert out.iteration == 1
     assert len(trace.records) == 2
     assert math.isnan(trace.records[1].y)
+
+
+@pytest.mark.parametrize("max_iter", [1000, 5])
+@pytest.mark.parametrize("seed_strategy", [Perturb(), GuardedNewton()], ids=["perturb", "guarded-newton"])
+def test_every_outcome_numbers_steps_as_the_trace_counts_them(seed_strategy, max_iter):
+    config = SolverConfig(max_iter=max_iter, seed_strategy=seed_strategy)
+    wrong = []
+    for prob in builtin_problems():
+        for start in prob.starts:
+            for method in Method:
+                trace = solve(prob.expression, method, start, config)
+                if not step_numbering_holds(trace):
+                    wrong.append(f"{prob.name} @ {start!r} @ {method.value}: {trace.outcome}, {trace.iterations} steps")
+    assert not wrong, wrong
 
 
 def test_secant_converges_on_affine_in_one_step():
