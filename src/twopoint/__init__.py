@@ -13,4 +13,6 @@ from .corpus import load_problems
 from .expressions import parse
 from .solvers import Method, solve
 
+__all__ = ["Method", "parse", "solve", "ck_sequence", "error_sequence", "load_problems"]
+
 __version__ = "0.1.0"

@@ -22,10 +22,9 @@ from .solvers import (
     DerivativeStall,
     Diverged,
     DomainFailure,
-    GuardedNewton,
     Method,
     Oscillating,
-    Perturb,
+    Seed,
     SeedingError,
     SolverConfig,
     Trace,
@@ -179,13 +178,8 @@ def _add_selection_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x1", type=float)
     p.add_argument("--tol", type=float, default=SolverConfig.tol)
     p.add_argument("--max-iter", type=int, dest="max_iter", default=SolverConfig.max_iter)
-    p.add_argument("--seed", choices=["perturb", "guarded-newton"], default="perturb")
-    p.add_argument("--delta", type=float, default=Perturb.delta_rel)
-
-
-def _build_config(args) -> SolverConfig:
-    seed_strategy = GuardedNewton() if args.seed == "guarded-newton" else Perturb(args.delta)
-    return SolverConfig(args.tol, args.max_iter, seed_strategy)
+    p.add_argument("--seed", choices=[s.value for s in Seed], default=SolverConfig.seed.value)
+    p.add_argument("--delta", type=float, default=SolverConfig.delta_rel)
 
 
 def _select(args) -> tuple[Expression, float | None, str]:
@@ -205,7 +199,8 @@ def _select(args) -> tuple[Expression, float | None, str]:
 def _cmd_solve(args) -> int:
     """``solve``, and ``trace``, which is ``solve --format csv`` plus ``--out``."""
     expression, root, label = _select(args)
-    trace = solve(expression, Method(args.method), args.x0, _build_config(args), args.x1)
+    config = SolverConfig(args.tol, args.max_iter, Seed(args.seed), args.delta)
+    trace = solve(expression, Method(args.method), args.x0, config, args.x1)
     outcome = trace.outcome
     if args.format == "json":
         payload = {

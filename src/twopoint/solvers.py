@@ -29,14 +29,13 @@ __all__ = [
     "DerivativeStall",
     "Diverged",
     "DomainFailure",
-    "GuardedNewton",
     "IterationRecord",
     "MaxIterationsExceeded",
     "Method",
     "Oscillating",
     "Outcome",
-    "Perturb",
     "PrevPointIsRootError",
+    "Seed",
     "SeedingError",
     "SolverConfig",
     "Trace",
@@ -51,7 +50,6 @@ __all__ = [
 
 _NAN = math.nan
 
-DEFAULT_DELTA_REL = 1e-4
 # |x| beyond this bound classifies a run as diverged
 DIVERGENCE_BOUND = 1e12
 # points closer than this have no usable slope between them
@@ -61,7 +59,7 @@ SEP_EPSILON = 1e-300
 CYCLE_PERIOD_MAX = 4
 CYCLE_TOL_REL = 1e-9
 CYCLE_MIN_ITERS = 20
-# GuardedNewton halves its seeding step at most this many times
+# Seed.GUARDED_NEWTON halves its seeding step at most this many times
 MAX_HALVINGS = 40
 
 
@@ -75,47 +73,36 @@ class Method(Enum):
 _SEEDS = {Method.NEWTON: 1, Method.SECANT: 2, Method.TWO_POINT: 2}
 
 
-@dataclass(frozen=True)
-class Perturb:
-    """Seed the second point at ``x0 + delta_rel * max(1, |x0|)``.
+class Seed(Enum):
+    """How the two-seed methods pick x1 when it is not given.
 
-    ``delta_rel`` must be finite and nonzero.
+    PERTURB seeds ``x0 + delta_rel * max(1, |x0|)``; GUARDED_NEWTON takes a
+    Newton step from x0, halved until in-domain, else perturbs likewise.
     """
 
-    delta_rel: float = DEFAULT_DELTA_REL
-
-    def __post_init__(self):
-        if not (math.isfinite(self.delta_rel) and self.delta_rel != 0.0):
-            raise ValueError("delta must be finite and nonzero")
-
-
-@dataclass(frozen=True)
-class GuardedNewton:
-    """Seed with a Newton step from x0, halving it until it stays in-domain.
-
-    When no halved step does, seed as ``Perturb()`` would.
-    """
-
-    delta_rel = DEFAULT_DELTA_REL  # a class constant, not a field
-
-
-SeedStrategy = Union[Perturb, GuardedNewton]
+    PERTURB = "perturb"
+    GUARDED_NEWTON = "guarded-newton"
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Stopping tolerance, step budget and seeding of one run.
 
-    The classification thresholds are module constants: DIVERGENCE_BOUND,
-    SEP_EPSILON, CYCLE_PERIOD_MAX, CYCLE_TOL_REL and CYCLE_MIN_ITERS, and
-    MAX_HALVINGS for :class:`GuardedNewton`.
+    ``delta_rel`` sizes every perturbation: the PERTURB seed, the
+    GUARDED_NEWTON fallback and the two-point nudge.  It must be finite and
+    nonzero.  The classification thresholds are module constants:
+    DIVERGENCE_BOUND, SEP_EPSILON, CYCLE_PERIOD_MAX, CYCLE_TOL_REL and
+    CYCLE_MIN_ITERS, and MAX_HALVINGS for GUARDED_NEWTON.
     """
 
     tol: float = 1e-15
     max_iter: int = 1000
-    seed_strategy: SeedStrategy = Perturb()
+    seed: Seed = Seed.PERTURB
+    delta_rel: float = 1e-4
 
     def __post_init__(self):
+        if not (math.isfinite(self.delta_rel) and self.delta_rel != 0.0):
+            raise ValueError("delta must be finite and nonzero")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError("tol must be finite and positive")
         if self.max_iter < 2:
@@ -191,7 +178,7 @@ def _steps(last_k: int, method: Method) -> int:
 
 
 class SeedingError(ValueError):
-    """Both seeding strategies produced out-of-domain second points."""
+    """The seed rule found no in-domain second point distinct from x0."""
 
 
 class DegenerateSlopeError(ValueError):
@@ -253,9 +240,9 @@ def _eval_ok(expr: Expression, x: float) -> bool:
 
 
 def seed_second_point(expr: Expression, x0: float, config: SolverConfig | None = None) -> float:
-    """Pick the second starting point for the two-seed methods."""
-    strat = (config or SolverConfig()).seed_strategy
-    if isinstance(strat, GuardedNewton):
+    """Pick the second starting point for the two-seed methods per ``config.seed``."""
+    config = config or SolverConfig()
+    if config.seed is Seed.GUARDED_NEWTON:
         d0 = eval_dual(expr, x0)
         if d0.deriv != 0.0 and math.isfinite(d0.deriv):
             step = ieee_div(d0.value, d0.deriv)
@@ -266,9 +253,9 @@ def seed_second_point(expr: Expression, x0: float, config: SolverConfig | None =
                     return cand
                 t *= 0.5
         # fall through to a plain perturbation
-    x1 = x0 + strat.delta_rel * max(1.0, abs(x0))
+    x1 = x0 + config.delta_rel * max(1.0, abs(x0))
     if x1 == x0:
-        raise SeedingError(f"delta {strat.delta_rel!r} is too small to move x0={x0!r}")
+        raise SeedingError(f"delta {config.delta_rel!r} is too small to move x0={x0!r}")
     if _eval_ok(expr, x1):
         return x1
     raise SeedingError(f"no in-domain second point near x0={x0!r}")
@@ -339,11 +326,12 @@ def solve(
 
     Terminates as converged when |x_k - x_{k-1}| + |y_k| < tol, otherwise
     through :func:`classify`, whose thresholds are DIVERGENCE_BOUND and the
-    CYCLE_* constants.  x1 is ignored for Newton and seeded per the
-    configured strategy when absent.  A two-point step between points
-    closer than SEP_EPSILON is replaced by a Newton step, and one that
-    returns exactly to x_{k-1} is nudged by the strategy's ``delta_rel``.
-    A non-finite x0 or x1, or x1 == x0, raises ValueError.
+    CYCLE_* constants.  x1 is ignored for Newton and seeded per
+    ``config.seed`` when absent.  A two-point step between points closer
+    than SEP_EPSILON is replaced by a Newton step, and one that returns
+    exactly to x_{k-1} is nudged by ``config.delta_rel``.  A non-finite x0
+    raises ValueError; for the two-seed methods so does a non-finite x1 or
+    x1 == x0, unless x0 is a root.
     """
     config = config or SolverConfig()
     newton, secant = method is Method.NEWTON, method is Method.SECANT
@@ -398,6 +386,6 @@ def solve(
             if x_next == prev.x:
                 # an exact return to x_prev (the dy = 0 limit) would start a
                 # 2-cycle; nudge to break it
-                x_next = x_next + config.seed_strategy.delta_rel * max(1.0, abs(x_next))
+                x_next = x_next + config.delta_rel * max(1.0, abs(x_next))
         outcome = visit(x_next)
     return Trace(method, tuple(records), outcome, config)

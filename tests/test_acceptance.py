@@ -26,10 +26,10 @@ from twopoint.solvers import (
     Converged,
     Diverged,
     DomainFailure,
-    GuardedNewton,
     MaxIterationsExceeded,
     Method,
     Oscillating,
+    Seed,
     SolverConfig,
     solve,
 )
@@ -145,7 +145,7 @@ def test_criterion_4_table2_two_point_convergence():
                 failures.append(f"{label}: root {trace.outcome.root!r} vs {prob.reference_root!r}")
 
     # printed root pairing for the bell-curve rows, Newton-guarded seeding
-    guarded = SolverConfig(seed_strategy=GuardedNewton())
+    guarded = SolverConfig(seed=Seed.GUARDED_NEWTON)
     for name, start, want in [
         ("10*x*exp(-x^2) - 1 @ x0=3", 3.0, 1.679630610428450),
         ("10*x*exp(-x^2) - 1 @ x0=-1", -1.0, 0.101025848315685),

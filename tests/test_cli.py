@@ -306,19 +306,28 @@ def test_guarded_newton_seed_flag(capsys):
 
 
 def test_delta_flag_controls_perturbation(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "solve", "--expr", "x^2 - 2", "--method", "secant", "--x0", "3", "--delta", "0.5",
-        "--format", "json", "--verbose",
-    )
-    payload = json.loads(out)
-    assert payload["records"][1]["x"] == 3.0 + 0.5 * 3.0
+    # one test over both seeds keeps its id; f'(0) = 0 makes the guarded
+    # seed fall back to perturbing x0
+    for args, x1 in [
+        (("--expr", "x^2 - 2", "--x0", "3"), 3.0 + 0.5 * 3.0),
+        (("--expr", "x^2-1", "--x0", "0", "--seed", "guarded-newton"), 0.5),
+    ]:
+        code, out, _ = run_cli(
+            capsys, "solve", *args, "--method", "secant", "--delta", "0.5", "--format", "json", "--verbose"
+        )
+        payload = json.loads(out)
+        assert payload["records"][1]["x"] == x1, args
 
 
-@pytest.mark.parametrize("delta", ["0", "nan"])
-def test_zero_or_nan_delta_is_a_usage_error(capsys, delta):
+# the default seed keeps the bare ids
+@pytest.mark.parametrize(
+    "seed, delta",
+    [((), "0"), ((), "nan"), (("--seed", "guarded-newton"), "0"), (("--seed", "guarded-newton"), "nan")],
+    ids=["0", "nan", "guarded-newton-0", "guarded-newton-nan"],
+)
+def test_zero_or_nan_delta_is_a_usage_error(capsys, seed, delta):
     code, out, err = run_cli(
-        capsys, "solve", "--expr", "x^2 - 2", "--method", "secant", "--x0", "1", "--delta", delta
+        capsys, "solve", "--expr", "x^2 - 2", "--method", "secant", "--x0", "1", *seed, "--delta", delta
     )
     assert code == 1
     assert err == "error: delta must be finite and nonzero\n"

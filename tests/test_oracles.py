@@ -1,10 +1,14 @@
-"""Roots checked against mpmath, an independent arbitrary-precision oracle.
+"""Roots and orders checked against mpmath, an independent arbitrary-precision oracle.
 
 Each built-in problem is evaluated by mpmath from its rendered text, and
 ``mpmath.findroot`` refines the problem's reference root to 40 digits.
+The convergence order of each method is measured by replaying its step
+formula in 150-digit arithmetic, where round-off does not cut the error
+sequence short.
 """
 
 import math
+import statistics
 
 import pytest
 
@@ -12,7 +16,8 @@ mpmath = pytest.importorskip("mpmath")
 
 from twopoint import corpus  # noqa: E402
 from twopoint.expressions import eval_dual, render  # noqa: E402
-from twopoint.solvers import Converged, solve  # noqa: E402
+from twopoint.analysis import ck_sequence, error_sequence  # noqa: E402
+from twopoint.solvers import Converged, Method, solve  # noqa: E402
 
 DIGITS = 40
 # a converged run lies within this many ulp of the true root
@@ -40,13 +45,17 @@ _MP_NAMES = {
 _PROBLEMS = [p for p in corpus.builtin_problems() if p.reference_root is not None]
 
 
-def _true_root(problem) -> float:
-    """The reference root refined by mpmath at DIGITS digits, rounded to a float."""
+def _mp_function(problem):
+    """The problem's function evaluated by mpmath at the working precision."""
     # rendered text is Python syntax once ^ is **; both bind right to left
     # and tighter than unary minus
-    f = eval("lambda x: " + render(problem.expression).replace("^", "**"), dict(_MP_NAMES))
+    return eval("lambda x: " + render(problem.expression).replace("^", "**"), dict(_MP_NAMES))
+
+
+def _true_root(problem) -> float:
+    """The reference root refined by mpmath at DIGITS digits, rounded to a float."""
     with mpmath.workdps(DIGITS):
-        return float(mpmath.findroot(f, mpmath.mpf(problem.reference_root)))
+        return float(mpmath.findroot(_mp_function(problem), mpmath.mpf(problem.reference_root)))
 
 
 def _is_simple(problem, root: float) -> bool:
@@ -73,3 +82,102 @@ def test_reference_root_error(problem):
     # reported (pytest -rP shows it), not pinned: x - 3 * ln(x) is off by 4.7e-15
     print(f"{problem.name}: reference root {problem.reference_root!r} is off by {error:.2g}")
     assert abs(error) <= REFERENCE_REL * max(1.0, abs(root))
+
+
+# --- convergence order in high precision -----------------------------------------
+
+HP_DIGITS = 150
+# a COC counts when its three errors lie in (HP_FLOOR, HP_CEILING): above the
+# ceiling the run has not reached the asymptotic regime, below the floor the
+# error is round-off at HP_DIGITS
+HP_FLOOR = mpmath.mpf(10) ** (10 - HP_DIGITS)
+HP_CEILING = 1e-2
+HP_MAX_STEPS = 1000
+# the median in-regime COC lies this close to the method's theoretical order
+ORDER_TOL = 0.01
+THEORETICAL_ORDER = {
+    Method.SECANT: (1 + math.sqrt(5)) / 2,
+    Method.NEWTON: 2.0,
+    Method.TWO_POINT: 1 + math.sqrt(2),
+}
+# cells left out, with the reason; none is left out only for missing the bound
+HP_EXCLUDED = {
+    ("0.5*x^3 - 6*x^2 + 21.5*x - 22", 3.0, Method.SECANT): "f''(4) = 0 removes the leading term of the "
+    "secant error e_k+1 ~ f''/(2f') e_k e_k-1, so the order is not (1 + sqrt 5)/2; it reads about 2.24",
+    ("0.5*x^3 - 6*x^2 + 21.5*x - 22", 5.0, Method.SECANT): "f''(4) = 0, as from 3",
+    ("-x^4 + 3*x^2 + 2", 1.0, Method.TWO_POINT): "the 150-digit run leaves the float run's basin "
+    "and converges to the mirrored root -1.887...",
+}
+
+
+def _replay(f, method: Method, seeds: list) -> list:
+    """Iterates of ``method`` from ``seeds`` at the working precision.
+
+    Stops when f is exactly 0, when a step moves x by less than HP_FLOOR
+    relative to |x|, or after HP_MAX_STEPS steps.
+    """
+    xs, ys = list(seeds), [f(x) for x in seeds]
+    for _ in range(HP_MAX_STEPS):
+        x, y = xs[-1], ys[-1]
+        if y == 0 or (len(xs) > 1 and abs(x - xs[-2]) < HP_FLOOR * max(1, abs(x))):
+            break
+        if method is Method.NEWTON:
+            x = x - y / mpmath.diff(f, x)
+        elif method is Method.SECANT:
+            x = x - y * (x - xs[-2]) / (y - ys[-2])
+        else:
+            x_prev, y_prev = xs[-2], ys[-2]
+            r = 1 - (y / y_prev) * (((y - y_prev) / (x - x_prev)) / mpmath.diff(f, x))
+            x = x_prev - (x_prev - x) / r
+        xs.append(x)
+        ys.append(f(x))
+    return xs
+
+
+def _in_regime_cocs(xs: list, root) -> list[float]:
+    errors = [abs(x - root) for x in xs]
+    cocs = []
+    for e0, e1, e2 in zip(errors, errors[1:], errors[2:]):
+        if all(HP_FLOOR < e < HP_CEILING for e in (e0, e1, e2)):
+            cocs.append(float(mpmath.log(e2 / e1) / mpmath.log(e1 / e0)))
+    return cocs
+
+
+@pytest.mark.parametrize("method", corpus.TABLE_METHODS, ids=[m.value for m in corpus.TABLE_METHODS])
+def test_high_precision_order_matches_theory(method):
+    """Median in-regime COC of every cell whose float run finds a simple reference root.
+
+    The replay starts from the float run's seed points, so it uses the same
+    seed rule, x1 = x0 + 1e-4 * max(1, |x0|).  The float run's own estimate
+    is printed beside it (pytest -rP) and not checked.
+    """
+    order = THEORETICAL_ORDER[method]
+    cells, wrong = [], []
+    for problem in _PROBLEMS:
+        root = _true_root(problem)
+        if not _is_simple(problem, root):
+            continue
+        f = _mp_function(problem)
+        for start in problem.starts:
+            trace = solve(problem.expression, method, start)
+            outcome = trace.outcome
+            if not isinstance(outcome, Converged) or abs(outcome.root - root) > SAME_ROOT_REL * max(1.0, abs(root)):
+                continue
+            cell = (problem.name, start, method)
+            cells.append(cell)
+            if cell in HP_EXCLUDED:
+                continue
+            float_order = ck_sequence(error_sequence(trace, root)).estimated_order
+            with mpmath.workdps(HP_DIGITS):
+                hp_root = mpmath.findroot(f, mpmath.mpf(root))
+                seeds = [mpmath.mpf(rec.x) for rec in trace.records[: len(trace.records) - trace.iterations]]
+                xs = _replay(f, method, seeds)
+                cocs = _in_regime_cocs(xs, hp_root)
+                left_basin = abs(xs[-1] - hp_root) > SAME_ROOT_REL * max(1, abs(hp_root))
+            median = statistics.median(cocs) if cocs else math.nan
+            label = f"{problem.name} @ {start!r} {method.value}"
+            print(f"{label}: float {float_order}, {HP_DIGITS}-digit median {median:.4f} over {len(cocs)} COCs")
+            if left_basin or not abs(median - order) <= ORDER_TOL:
+                wrong.append(f"{label}: median {median} over {cocs}, left basin: {left_basin}")
+    assert {cell for cell in HP_EXCLUDED if cell[2] is method} <= set(cells)
+    assert not wrong, wrong

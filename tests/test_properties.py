@@ -29,7 +29,7 @@ from twopoint.expressions import (
     parse,
     render,
 )
-from twopoint.solvers import GuardedNewton, Method, Outcome, Perturb, SeedingError, SolverConfig, solve
+from twopoint.solvers import Method, Outcome, Seed, SeedingError, SolverConfig, solve
 
 
 def test_weighted_form_identity():
@@ -90,7 +90,7 @@ def test_solve_returns_an_outcome_or_raises_seeding_error(expr, x0):
         eval_dual(expr, x0)
     except DomainError:
         assume(False)
-    for config in (SolverConfig(), SolverConfig(seed_strategy=GuardedNewton())):
+    for config in (SolverConfig(), SolverConfig(seed=Seed.GUARDED_NEWTON)):
         for method in Method:
             try:
                 trace = solve(expr, method, x0, config)

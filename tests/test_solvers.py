@@ -13,13 +13,12 @@ from twopoint.solvers import (
     DerivativeStall,
     Diverged,
     DomainFailure,
-    GuardedNewton,
     IterationRecord,
     MaxIterationsExceeded,
     Method,
     Oscillating,
-    Perturb,
     PrevPointIsRootError,
+    Seed,
     SeedingError,
     SolverConfig,
     classify,
@@ -115,7 +114,7 @@ def test_perturb_seed_small_magnitude():
 
 
 def test_guarded_newton_seed_halves_out_of_domain_step():
-    config = SolverConfig(seed_strategy=GuardedNewton())
+    config = SolverConfig(seed=Seed.GUARDED_NEWTON)
     expr = parse("log10(x)")
     d = eval_dual(expr, 3.0)
     full = 3.0 - d.value / d.deriv
@@ -126,7 +125,7 @@ def test_guarded_newton_seed_halves_out_of_domain_step():
 
 
 def test_guarded_newton_zero_derivative_falls_back_to_perturb():
-    config = SolverConfig(seed_strategy=GuardedNewton())
+    config = SolverConfig(seed=Seed.GUARDED_NEWTON)
     assert seed_second_point(parse("x^2"), 0.0, config) == 1e-4
 
 
@@ -136,19 +135,27 @@ def test_seeding_failure():
         seed_second_point(parse("sqrt(-x^2)"), 0.0)
 
 
-@pytest.mark.parametrize("delta", [0.0, -0.0, math.nan, math.inf, -math.inf])
-def test_perturb_rejects_zero_and_non_finite_delta(delta):
-    with pytest.raises(ValueError):
-        Perturb(delta)
+BAD_DELTAS = [0.0, -0.0, math.nan, math.inf, -math.inf]
+
+
+# the default seed keeps the bare ids; delta_rel sizes the guarded fallback too
+@pytest.mark.parametrize(
+    "seed, delta",
+    [(Seed.PERTURB, d) for d in BAD_DELTAS] + [(Seed.GUARDED_NEWTON, d) for d in BAD_DELTAS],
+    ids=[repr(d) for d in BAD_DELTAS] + [f"guarded-newton-{d!r}" for d in BAD_DELTAS],
+)
+def test_perturb_rejects_zero_and_non_finite_delta(seed, delta):
+    with pytest.raises(ValueError, match="delta must be finite and nonzero"):
+        SolverConfig(seed=seed, delta_rel=delta)
 
 
 def test_perturb_accepts_negative_delta():
-    config = SolverConfig(seed_strategy=Perturb(-0.5))
+    config = SolverConfig(delta_rel=-0.5)
     assert seed_second_point(parse("x^2 - 2"), 3.0, config) == 3.0 - 0.5 * 3.0
 
 
 def test_perturbation_that_leaves_x0_unchanged_is_a_seeding_error():
-    config = SolverConfig(seed_strategy=Perturb(1e-20))
+    config = SolverConfig(delta_rel=1e-20)
     with pytest.raises(SeedingError):
         seed_second_point(parse("x^2 - 2"), 1.0, config)
     with pytest.raises(SeedingError):
@@ -289,9 +296,9 @@ def test_domain_failure_at_explicit_x1():
 
 
 @pytest.mark.parametrize("max_iter", [1000, 5])
-@pytest.mark.parametrize("seed_strategy", [Perturb(), GuardedNewton()], ids=["perturb", "guarded-newton"])
-def test_every_outcome_numbers_steps_as_the_trace_counts_them(seed_strategy, max_iter):
-    config = SolverConfig(max_iter=max_iter, seed_strategy=seed_strategy)
+@pytest.mark.parametrize("seed", list(Seed), ids=[s.value for s in Seed])
+def test_every_outcome_numbers_steps_as_the_trace_counts_them(seed, max_iter):
+    config = SolverConfig(max_iter=max_iter, seed=seed)
     wrong = []
     for prob in builtin_problems():
         for start in prob.starts:
