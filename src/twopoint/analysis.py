@@ -24,7 +24,6 @@ for secant).
 from __future__ import annotations
 
 import math
-import statistics
 import sys
 from dataclasses import dataclass
 
@@ -104,7 +103,10 @@ def ck_sequence(errors: ErrorSequence) -> ConvergenceReport:
             cocs.append((logs[j + 1] - logs[j]) / den)
     if not cocs:
         return ConvergenceReport(tuple(ck), None, 0)
-    return ConvergenceReport(tuple(ck), statistics.median(cocs), len(tail))
+    cocs.sort()
+    mid = len(cocs) // 2
+    order = cocs[mid] if len(cocs) % 2 else (cocs[mid - 1] + cocs[mid]) / 2
+    return ConvergenceReport(tuple(ck), order, len(tail))
 
 
 def weight_sequence(trace: Trace) -> tuple[tuple[float, float, float], ...]:

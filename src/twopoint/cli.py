@@ -302,7 +302,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:
-        # evaluation recurses once per tree level and gives out on a tree
+        # evaluation recurses once per tree level that reads x and gives out
         # about a thousand levels deep; parsing has no depth limit
         print("error: expression nested too deeply", file=sys.stderr)
         return 1

@@ -10,7 +10,10 @@ Evaluation is forward-mode automatic differentiation: every node carries a
 (value, derivative) pair and the exact sum/product/quotient/chain rules
 propagate both.  Leaving the real domain raises :class:`DomainError`
 instead of producing NaN silently.  An expression is compiled into a chain
-of closures on its first evaluation, and the chain is cached on it.
+of closures on its first evaluation, and the chain is cached on it; a
+subtree without ``x`` is worked out once then, and a constant right
+operand is bound into its parent's rule.  ``parse`` shares one immutable
+leaf per name between trees.
 """
 
 from __future__ import annotations
@@ -142,19 +145,30 @@ class Dual:
 
 # --- tokenizer --------------------------------------------------------------
 
-# One alternative per token kind, tried at each position in turn; "other"
+# One alternative per token kind, tried at each position in turn, and no
+# groups, so findall returns the matched texts; the last alternative
 # catches any character no token can start with.  Only " \t\r\n" is
 # whitespace, and \d admits every Unicode decimal digit, as float() does.
 _TOKEN_RE = re.compile(
     r"[ \t\r\n]+"
-    r"|(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^])"
-    r"|(?P<lparen>\()"
-    r"|(?P<rparen>\))"
-    r"|(?P<other>.)",
+    r"|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+    r"|[A-Za-z_][A-Za-z_0-9]*"
+    r"|[-+*/^()]"
+    r"|.",
     re.DOTALL,
 )
+
+# The kind of a token by its first character, "" for whitespace.  A token
+# whose first character is not listed is a number if it is longer than one
+# character or a decimal digit, and otherwise a character no token takes.
+_KIND = {
+    **dict.fromkeys("0123456789", "number"),
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "ident"),
+    **dict.fromkeys("+-*/^", "op"),
+    "(": "lparen",
+    ")": "rparen",
+    **dict.fromkeys(" \t\r\n", ""),
+}
 
 # (kind, text, pos); kind is "number", "ident", "op", "lparen", "rparen" or "end"
 _Tok = tuple[str, str, int]
@@ -162,16 +176,18 @@ _Tok = tuple[str, str, int]
 
 def _tokenize(text: str) -> list[_Tok]:
     tokens: list[_Tok] = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind is None:  # whitespace
-            continue
-        if kind == "other":
-            c, pos = m.group(), m.start()
-            if c.isdigit() or c == ".":
-                raise ParseError("malformed number", pos, ("digit",))
-            raise ParseError(f"unexpected character {c!r}", pos)
-        tokens.append((kind, m.group(), m.start()))
+    pos = 0
+    for tok in _TOKEN_RE.findall(text):
+        kind = _KIND.get(tok[0])
+        if kind is None:
+            if len(tok) == 1 and not tok.isdecimal():
+                if tok.isdigit() or tok == ".":
+                    raise ParseError("malformed number", pos, ("digit",))
+                raise ParseError(f"unexpected character {tok!r}", pos)
+            kind = "number"
+        if kind:
+            tokens.append((kind, tok, pos))
+        pos += len(tok)
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -185,6 +201,9 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 _NEG = 3
 
 _ATOM_EXPECTED = ("number", "'x'", "'pi'", "'e'", "function name", "'('")
+
+# the leaves a name stands for; the nodes are immutable, so trees share them
+_NAMED_LEAVES: dict[str, Node] = {"x": Variable(), "pi": Constant("pi"), "e": Constant("e")}
 
 
 def parse(text: str) -> Expression:
@@ -221,10 +240,8 @@ def parse(text: str) -> Expression:
             nodes.append(Number(value))
         elif kind != "ident":
             raise ParseError(f"unexpected {tok!r}" if tok else "unexpected end of input", pos, _ATOM_EXPECTED)
-        elif tok == "x":
-            nodes.append(Variable())
-        elif tok in CONSTANTS:
-            nodes.append(Constant(tok))
+        elif tok in _NAMED_LEAVES:
+            nodes.append(_NAMED_LEAVES[tok])
         elif tok not in FUNCTIONS:
             raise ParseError(f"unknown identifier {tok!r}", pos)
         elif tokens[i][0] != "lparen":
@@ -341,6 +358,15 @@ def render(expr: Expression) -> str:
 # would do, float operation for float operation.  A bound method is cheaper
 # to create, call and free than a nested function.
 #
+# Two specializations keep a chain to the nodes that read x.  A subtree
+# without x is folded when compiling: its rule runs once on its children's
+# (value, deriv) pairs, so it costs no call per evaluation and no level of
+# recursion.  A BinOp whose right operand is such a pair binds it into a
+# right-constant rule (_dual_add_c ...) with the same float operations.
+# A subtree whose rule raises DomainError is not folded, so it raises at
+# each evaluation, in the order the walk reaches it.  The chain is cached on
+# the Expression, never on a node, so trees may share parse's leaf nodes.
+#
 # After each BinOp and Call, a non-finite value or a NaN derivative raises
 # DomainError(operator or function name, left or argument value).
 
@@ -356,14 +382,6 @@ def _cbrt(v: float) -> float:
     c = math.copysign(abs(v) ** (1.0 / 3.0), v)
     # one Newton polish tightens the last ulp without overflow
     return (2.0 * c + v / (c * c)) / 3.0
-
-
-def _sign(v: float) -> float:
-    if v > 0.0:
-        return 1.0
-    if v < 0.0:
-        return -1.0
-    return 0.0
 
 
 def _zero_deriv_blowup(d: float) -> float:
@@ -482,6 +500,77 @@ def _dual_pow(children, x):
     return v, d
 
 
+# BinOp rules for a right operand without x, bound to (left, value, deriv)
+# of that operand; each does its generic rule's float operations in order.
+
+
+def _dual_add_c(bound, x):
+    left, rv, rd = bound
+    lv, ld = left(x)
+    v, d = lv + rv, ld + rd
+    if not _isfinite(v) or d != d:
+        raise DomainError("+", lv)
+    return v, d
+
+
+def _dual_sub_c(bound, x):
+    left, rv, rd = bound
+    lv, ld = left(x)
+    v, d = lv - rv, ld - rd
+    if not _isfinite(v) or d != d:
+        raise DomainError("-", lv)
+    return v, d
+
+
+def _dual_mul_c(bound, x):
+    left, rv, rd = bound
+    lv, ld = left(x)
+    v, d = lv * rv, ld * rv + lv * rd
+    if not _isfinite(v) or d != d:
+        raise DomainError("*", lv)
+    return v, d
+
+
+def _dual_div_c(bound, x):
+    left, rv, rd = bound
+    lv, ld = left(x)
+    if rv == 0.0:
+        raise DomainError("/", lv)
+    v = lv / rv
+    den = rv * rv
+    if den >= _FLOAT_MIN:
+        d = (ld * rv - lv * rd) / den
+    else:
+        d = (ld - v * rd) / rv
+    if not _isfinite(v) or d != d:
+        raise DomainError("/", lv)
+    return v, d
+
+
+def _dual_pow_c(bound, x):
+    # _pow's constant-exponent branch: a folded constant's derivative is ±0
+    left, pv, pd = bound
+    uv, ud = left(x)
+    if uv < 0.0 and pv != int(pv):
+        raise DomainError("^", uv)
+    try:
+        v = uv**pv
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError("^", uv) from None
+    if ud == 0.0 or pv == 0.0:
+        d = 0.0
+    else:
+        try:
+            d = pv * uv ** (pv - 1.0) * ud
+        except OverflowError:
+            raise DomainError("^", uv) from None
+        except ZeroDivisionError:
+            d = math.copysign(math.inf, pv * ud)
+    if not _isfinite(v) or d != d:
+        raise DomainError("^", uv)
+    return v, d
+
+
 # Call rules, bound to the argument
 
 
@@ -572,13 +661,14 @@ def _dual_cbrt(arg, x):
 
 def _dual_abs(arg, x):
     uv, ud = arg(x)
-    v, d = abs(uv), ud * _sign(uv)
+    v, d = abs(uv), ud * (1.0 if uv > 0.0 else -1.0 if uv < 0.0 else 0.0)
     if not _isfinite(v) or d != d:
         raise DomainError("abs", uv)
     return v, d
 
 
 _BINOP_RULES = {"+": _dual_add, "-": _dual_sub, "*": _dual_mul, "/": _dual_div, "^": _dual_pow}
+_CONSTANT_RIGHT_RULES = {"+": _dual_add_c, "-": _dual_sub_c, "*": _dual_mul_c, "/": _dual_div_c, "^": _dual_pow_c}
 _CALL_RULES = {
     "sin": _dual_sin,
     "cos": _dual_cos,
@@ -593,29 +683,46 @@ _CALL_RULES = {
 }
 
 
+def _chain(item: _Fn | tuple[float, float]) -> _Fn:
+    return MethodType(_dual_constant, item) if type(item) is tuple else item
+
+
 def _compile(root: Node) -> _Fn:
     """Closure chain of a tree, built without recursion: the closures are
-    built on a stack in post-order."""
-    built: list[_Fn] = []
+    built on a stack in post-order, where a folded subtree is a pair."""
+    built: list[_Fn | tuple[float, float]] = []
     for node in _postorder(root):
         kind = type(node)
         if kind is BinOp:
             right = built.pop()
-            built[-1] = MethodType(_BINOP_RULES[node.op], (built[-1], right))
-        elif kind is Call:
-            built[-1] = MethodType(_CALL_RULES[node.func], built[-1])
-        elif kind is Neg:
-            built[-1] = MethodType(_dual_neg, built[-1])
+            left = built[-1]
+            if type(right) is not tuple:
+                folds, bound = False, (_chain(left), right)
+            elif type(left) is not tuple:
+                built[-1] = MethodType(_CONSTANT_RIGHT_RULES[node.op], (left, *right))
+                continue
+            else:
+                folds, bound = True, (MethodType(_dual_constant, left), MethodType(_dual_constant, right))
+            rule = _BINOP_RULES[node.op]
+        elif kind is Call or kind is Neg:
+            rule = _dual_neg if kind is Neg else _CALL_RULES[node.func]
+            bound = built[-1]
+            folds = type(bound) is tuple
+            if folds:
+                bound = MethodType(_dual_constant, bound)
         elif kind is Variable:
             built.append(_dual_x)
+            continue
         else:
             value = node.value if kind is Number else CONSTANTS[node.name]
             # a non-finite literal raises when evaluated, not here
-            if _isfinite(value):
-                built.append(MethodType(_dual_constant, (value, 0.0)))
-            else:
-                built.append(MethodType(_dual_non_finite, value))
-    return built[0]
+            built.append((value, 0.0) if _isfinite(value) else MethodType(_dual_non_finite, value))
+            continue
+        try:  # a rule on pairs alone runs now; one that raises stays a chain
+            built[-1] = rule(bound, 0.0) if folds else MethodType(rule, bound)
+        except DomainError:
+            built[-1] = MethodType(rule, bound)
+    return _chain(built[0])
 
 
 def eval_dual(expr: Expression, x: float) -> Dual:

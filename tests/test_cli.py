@@ -406,6 +406,23 @@ def test_deeply_nested_expression_is_a_usage_error(tmp_path, capsys):
         assert out == ""
 
 
+@pytest.mark.parametrize(
+    "text",
+    [" + ".join(["1"] * 1499 + ["x"]), "sin(" * 3000 + "2" + ")" * 3000 + " - x"],
+    ids=["1500-term-sum-of-constants", "3000-sin-around-a-constant"],
+)
+def test_depth_without_x_is_folded_and_solves(text, capsys):
+    code, out, err = run_cli(capsys, "solve", "--expr", text, "--method", "newton", "--x0", "2", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["outcome"] == "converged"
+
+
+def test_depth_that_depends_on_x_is_a_usage_error(capsys):
+    text = " + ".join(["x"] + ["1"] * 1499)
+    code, out, err = run_cli(capsys, "solve", "--expr", text, "--method", "newton", "--x0", "2")
+    assert (code, out, err) == (1, "", "error: expression nested too deeply\n")
+
+
 def test_nested_parentheses_solve_like_the_bare_expression(capsys):
     runs = []
     for text in ("(" * 500 + "x - 1" + ")" * 500, "x - 1"):

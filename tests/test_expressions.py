@@ -1,21 +1,34 @@
 import math
+import struct
+from types import MethodType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twopoint.expressions import (
+    CONSTANTS,
     FUNCTIONS,
     BinOp,
     Call,
+    Constant,
     DomainError,
     Dual,
     Expression,
+    Neg,
     Number,
     ParseError,
     Variable,
     eval_dual,
     parse,
     render,
+    _BINOP_RULES,
+    _CALL_RULES,
     _cbrt,
+    _dual_constant,
+    _dual_neg,
+    _dual_non_finite,
+    _dual_x,
 )
 
 
@@ -340,3 +353,105 @@ def test_function_rule_matches_math_and_central_difference(name):
         assert got.value == reference(x)
         h = 1e-5 * max(1.0, abs(x))
         assert math.isclose(got.deriv, (reference(x + h) - reference(x - h)) / (2 * h), rel_tol=1e-6)
+
+
+# --- compiled chains against the unspecialized rules -----------------------
+
+
+def _reference_chain(node):
+    """The chain of the generic rules alone: no subtree folded, no operand bound."""
+    kind = type(node)
+    if kind is BinOp:
+        return MethodType(_BINOP_RULES[node.op], (_reference_chain(node.left), _reference_chain(node.right)))
+    if kind is Call:
+        return MethodType(_CALL_RULES[node.func], _reference_chain(node.arg))
+    if kind is Neg:
+        return MethodType(_dual_neg, _reference_chain(node.operand))
+    if kind is Variable:
+        return _dual_x
+    value = node.value if kind is Number else CONSTANTS[node.name]
+    if math.isfinite(value):
+        return MethodType(_dual_constant, (value, 0.0))
+    return MethodType(_dual_non_finite, value)
+
+
+def _hex(v: float) -> str:
+    return struct.pack(">d", v).hex()
+
+
+def _outcome(evaluate, x):
+    """(value bits, derivative bits), or the DomainError's kind and argument bits."""
+    try:
+        v, d = evaluate(x)
+    except DomainError as err:
+        return ("DomainError", err.kind, _hex(err.arg))
+    return (_hex(v), _hex(d))
+
+
+def _assert_matches_reference(expr, xs):
+    def evaluate(x):
+        dual = eval_dual(expr, x)
+        return dual.value, dual.deriv
+
+    reference = _reference_chain(expr.root)
+    for x in xs:
+        assert _outcome(evaluate, x) == _outcome(reference, x), (expr, x)
+
+
+# the signs of zero, values whose rounding shows an operation moved, and
+# the edges of the rules' domains
+_X_POINTS = (0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.7, 1e-170, -1e-300, 123.456)
+
+_CONSTANT_LEAVES = st.one_of(
+    st.sampled_from([Constant("pi"), Constant("e")]),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.5, 1 / 3, -1.5, 3.0, 1e-170, 5e-324, 1e308, math.inf]).map(Number),
+    st.floats(min_value=-10.0, max_value=10.0, allow_nan=False).map(Number),
+)
+
+
+def _constant_rich(depth: int):
+    leaf = st.one_of(st.just(Variable()), _CONSTANT_LEAVES, _CONSTANT_LEAVES)
+    if depth == 0:
+        return leaf
+    child = _constant_rich(depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(Neg, child),
+        st.builds(Call, st.sampled_from(FUNCTIONS), child),
+        st.builds(BinOp, st.sampled_from("+-*/^"), child, child),
+        st.builds(BinOp, st.sampled_from("+-*/^"), child, _CONSTANT_LEAVES),
+    )
+
+
+@given(_constant_rich(5).map(Expression))
+@settings(derandomize=True, deadline=None, max_examples=1500)
+def test_compiled_chain_matches_generic_rules_bit_for_bit(expr):
+    _assert_matches_reference(expr, _X_POINTS)
+
+
+_EDGE_CASES = [
+    "-(0) * x",
+    "x * -(0)",
+    "x - -(0)",
+    "x + -(0)",
+    "ln(0 - 1) + x",
+    "x / (1 - 1)",
+    "x / -(0.5)",
+    "x^0",
+    "x^0.5",
+    "(-x)^0.5",
+    "x^-1",
+    "(0 - 2)^x",
+    "x^(1/3)",
+    "sin(x)^-(0.5)",
+    "(x * 1e200)^2",
+]
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [pytest.param(parse(text), id=text) for text in _EDGE_CASES]
+    + [pytest.param(Expression(BinOp("+", Variable(), Number(math.inf))), id="x + inf")],
+)
+def test_specialized_rules_match_generic_rules_at_edges(expr):
+    _assert_matches_reference(expr, _X_POINTS)

@@ -1,5 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import twopoint
+
+
 def test_star_import_yields_exactly_the_documented_names():
     namespace = {}
     exec("from twopoint import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == ["Method", "ck_sequence", "error_sequence", "load_problems", "parse", "solve"]
+
+
+def test_cli_import_leaves_statistics_unloaded():
+    # a fresh interpreter, so no other test's imports count; statistics
+    # alone took about a tenth of the CLI's import time
+    src = str(Path(twopoint.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = "import sys, twopoint.cli; print(sorted(m for m in ('statistics', 'twopoint.cli') if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "['twopoint.cli']\n"
