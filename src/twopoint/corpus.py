@@ -181,9 +181,13 @@ def _fail(index: int, fld: str, message: str):
 def _require_number(index: int, fld: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(index, fld, f"expected a number, got {value!r}")
-    if not math.isfinite(float(value)):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer too large for a float
+        number = math.inf
+    if not math.isfinite(number):
         _fail(index, fld, f"expected a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _parse_expected_key(index: int, key: str) -> tuple[Method, float]:
@@ -213,6 +217,8 @@ def load_problems(path: str | Path) -> tuple[Problem, ...]:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ProblemFileError(f"not valid JSON: {err}") from None
+    except RecursionError:
+        raise ProblemFileError("not valid JSON: nested too deeply") from None
     if not isinstance(data, list):
         raise ProblemFileError("top level must be a JSON array of problem objects")
     problems = []

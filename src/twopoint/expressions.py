@@ -12,8 +12,8 @@ propagate both.  Leaving the real domain raises :class:`DomainError`
 instead of producing NaN silently.  An expression is compiled into a chain
 of closures on its first evaluation, and the chain is cached on it; a
 subtree without ``x`` is worked out once then, and a constant right
-operand is bound into its parent's rule.  ``parse`` shares one immutable
-leaf per name between trees.
+operand is bound into its parent's rule as a (value, deriv) pair.
+``parse`` shares one immutable leaf per name between trees.
 """
 
 from __future__ import annotations
@@ -281,7 +281,7 @@ def parse(text: str) -> Expression:
 
 
 def _num_text(value: float) -> str:
-    if value == int(value) and abs(value) < 1e16:
+    if math.isfinite(value) and value == int(value) and abs(value) < 1e16:
         return str(int(value))
     return repr(value)
 
@@ -358,14 +358,15 @@ def render(expr: Expression) -> str:
 # would do, float operation for float operation.  A bound method is cheaper
 # to create, call and free than a nested function.
 #
-# Two specializations keep a chain to the nodes that read x.  A subtree
-# without x is folded when compiling: its rule runs once on its children's
-# (value, deriv) pairs, so it costs no call per evaluation and no level of
-# recursion.  A BinOp whose right operand is such a pair binds it into a
-# right-constant rule (_dual_add_c ...) with the same float operations.
-# A subtree whose rule raises DomainError is not folded, so it raises at
-# each evaluation, in the order the walk reaches it.  The chain is cached on
-# the Expression, never on a node, so trees may share parse's leaf nodes.
+# The chain keeps only the nodes that read x.  A subtree without x is
+# folded when compiling: its rule runs once on its children's (value,
+# deriv) pairs, so it costs no call per evaluation and no level of
+# recursion.  Each BinOp rule takes its right operand either as a closure
+# or, when that operand folded, as the bound pair itself, which it reads
+# without a call; one rule per operator serves both.  A subtree whose rule
+# raises DomainError is not folded, so it raises at each evaluation, in the
+# order the walk reaches it.  The chain is cached on the Expression, never
+# on a node, so trees may share parse's leaf nodes.
 #
 # After each BinOp and Call, a non-finite value or a NaN derivative raises
 # DomainError(operator or function name, left or argument value).
@@ -389,35 +390,6 @@ def _zero_deriv_blowup(d: float) -> float:
     return 0.0 if d == 0.0 else math.copysign(math.inf, d)
 
 
-def _pow(uv: float, ud: float, pv: float, pd: float) -> tuple[float, float]:
-    if pd == 0.0:
-        # constant exponent: power rule
-        if uv < 0.0 and pv != int(pv):
-            raise DomainError("^", uv)
-        try:
-            value = uv**pv
-        except (OverflowError, ZeroDivisionError):
-            raise DomainError("^", uv) from None
-        if ud == 0.0 or pv == 0.0:
-            return value, 0.0
-        try:
-            scale = uv ** (pv - 1.0)
-        except OverflowError:
-            raise DomainError("^", uv) from None
-        except ZeroDivisionError:
-            # 0^p with 0 < p < 1: derivative blows up like sqrt at 0
-            return value, math.copysign(math.inf, pv * ud)
-        return value, pv * scale * ud
-    # variable exponent: u^p = exp(p ln u), real only for u > 0
-    if uv <= 0.0:
-        raise DomainError("^", uv)
-    try:
-        value = uv**pv
-    except OverflowError:
-        raise DomainError("^", uv) from None
-    return value, value * (pd * math.log(uv) + pv * ud / uv)
-
-
 # leaves and negation
 
 
@@ -438,43 +410,48 @@ def _dual_neg(operand, x):
     return -v, -d
 
 
-# BinOp rules, bound to (left, right)
+# BinOp rules, bound to (left, right, rv, rd): right is the right operand's
+# closure, or None when that operand folded to the pair (rv, rd)
 
 
-def _dual_add(children, x):
-    left, right = children
+def _dual_add(bound, x):
+    left, right, rv, rd = bound
     lv, ld = left(x)
-    rv, rd = right(x)
+    if right is not None:
+        rv, rd = right(x)
     v, d = lv + rv, ld + rd
     if not _isfinite(v) or d != d:
         raise DomainError("+", lv)
     return v, d
 
 
-def _dual_sub(children, x):
-    left, right = children
+def _dual_sub(bound, x):
+    left, right, rv, rd = bound
     lv, ld = left(x)
-    rv, rd = right(x)
+    if right is not None:
+        rv, rd = right(x)
     v, d = lv - rv, ld - rd
     if not _isfinite(v) or d != d:
         raise DomainError("-", lv)
     return v, d
 
 
-def _dual_mul(children, x):
-    left, right = children
+def _dual_mul(bound, x):
+    left, right, rv, rd = bound
     lv, ld = left(x)
-    rv, rd = right(x)
+    if right is not None:
+        rv, rd = right(x)
     v, d = lv * rv, ld * rv + lv * rd
     if not _isfinite(v) or d != d:
         raise DomainError("*", lv)
     return v, d
 
 
-def _dual_div(children, x):
-    left, right = children
+def _dual_div(bound, x):
+    left, right, rv, rd = bound
     lv, ld = left(x)
-    rv, rd = right(x)
+    if right is not None:
+        rv, rd = right(x)
     if rv == 0.0:
         raise DomainError("/", lv)
     v = lv / rv
@@ -490,82 +467,38 @@ def _dual_div(children, x):
     return v, d
 
 
-def _dual_pow(children, x):
-    left, right = children
-    lv, ld = left(x)
-    rv, rd = right(x)
-    v, d = _pow(lv, ld, rv, rd)
-    if not _isfinite(v) or d != d:
-        raise DomainError("^", lv)
-    return v, d
-
-
-# BinOp rules for a right operand without x, bound to (left, value, deriv)
-# of that operand; each does its generic rule's float operations in order.
-
-
-def _dual_add_c(bound, x):
-    left, rv, rd = bound
-    lv, ld = left(x)
-    v, d = lv + rv, ld + rd
-    if not _isfinite(v) or d != d:
-        raise DomainError("+", lv)
-    return v, d
-
-
-def _dual_sub_c(bound, x):
-    left, rv, rd = bound
-    lv, ld = left(x)
-    v, d = lv - rv, ld - rd
-    if not _isfinite(v) or d != d:
-        raise DomainError("-", lv)
-    return v, d
-
-
-def _dual_mul_c(bound, x):
-    left, rv, rd = bound
-    lv, ld = left(x)
-    v, d = lv * rv, ld * rv + lv * rd
-    if not _isfinite(v) or d != d:
-        raise DomainError("*", lv)
-    return v, d
-
-
-def _dual_div_c(bound, x):
-    left, rv, rd = bound
-    lv, ld = left(x)
-    if rv == 0.0:
-        raise DomainError("/", lv)
-    v = lv / rv
-    den = rv * rv
-    if den >= _FLOAT_MIN:
-        d = (ld * rv - lv * rd) / den
-    else:
-        d = (ld - v * rd) / rv
-    if not _isfinite(v) or d != d:
-        raise DomainError("/", lv)
-    return v, d
-
-
-def _dual_pow_c(bound, x):
-    # _pow's constant-exponent branch: a folded constant's derivative is ±0
-    left, pv, pd = bound
+def _dual_pow(bound, x):
+    left, right, pv, pd = bound
     uv, ud = left(x)
-    if uv < 0.0 and pv != int(pv):
-        raise DomainError("^", uv)
-    try:
-        v = uv**pv
-    except (OverflowError, ZeroDivisionError):
-        raise DomainError("^", uv) from None
-    if ud == 0.0 or pv == 0.0:
-        d = 0.0
-    else:
+    if right is not None:
+        pv, pd = right(x)
+    if pd == 0.0:
+        # constant exponent: power rule
+        if uv < 0.0 and pv != int(pv):
+            raise DomainError("^", uv)
         try:
-            d = pv * uv ** (pv - 1.0) * ud
+            v = uv**pv
+        except (OverflowError, ZeroDivisionError):
+            raise DomainError("^", uv) from None
+        if ud == 0.0 or pv == 0.0:
+            d = 0.0
+        else:
+            try:
+                d = pv * uv ** (pv - 1.0) * ud
+            except OverflowError:
+                raise DomainError("^", uv) from None
+            except ZeroDivisionError:
+                # 0^p with 0 < p < 1: derivative blows up like sqrt at 0
+                d = math.copysign(math.inf, pv * ud)
+    else:
+        # variable exponent: u^p = exp(p ln u), real only for u > 0
+        if uv <= 0.0:
+            raise DomainError("^", uv)
+        try:
+            v = uv**pv
         except OverflowError:
             raise DomainError("^", uv) from None
-        except ZeroDivisionError:
-            d = math.copysign(math.inf, pv * ud)
+        d = v * (pd * math.log(uv) + pv * ud / uv)
     if not _isfinite(v) or d != d:
         raise DomainError("^", uv)
     return v, d
@@ -668,7 +601,6 @@ def _dual_abs(arg, x):
 
 
 _BINOP_RULES = {"+": _dual_add, "-": _dual_sub, "*": _dual_mul, "/": _dual_div, "^": _dual_pow}
-_CONSTANT_RIGHT_RULES = {"+": _dual_add_c, "-": _dual_sub_c, "*": _dual_mul_c, "/": _dual_div_c, "^": _dual_pow_c}
 _CALL_RULES = {
     "sin": _dual_sin,
     "cos": _dual_cos,
@@ -696,13 +628,10 @@ def _compile(root: Node) -> _Fn:
         if kind is BinOp:
             right = built.pop()
             left = built[-1]
-            if type(right) is not tuple:
-                folds, bound = False, (_chain(left), right)
-            elif type(left) is not tuple:
-                built[-1] = MethodType(_CONSTANT_RIGHT_RULES[node.op], (left, *right))
-                continue
+            if type(right) is tuple:
+                folds, bound = type(left) is tuple, (_chain(left), None, *right)
             else:
-                folds, bound = True, (MethodType(_dual_constant, left), MethodType(_dual_constant, right))
+                folds, bound = False, (_chain(left), right, 0.0, 0.0)
             rule = _BINOP_RULES[node.op]
         elif kind is Call or kind is Neg:
             rule = _dual_neg if kind is Neg else _CALL_RULES[node.func]

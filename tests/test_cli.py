@@ -407,6 +407,28 @@ def test_deeply_nested_expression_is_a_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "data,message",
+    [
+        ("[" * 100_000, "not valid JSON: nested too deeply"),
+        (
+            json.dumps([{"name": "t", "expr": "x^2-4", "starts": [10**400]}]),
+            f"entry 0, field 'starts': expected a finite number, got {10**400}",
+        ),
+        (
+            json.dumps([{"name": "t", "expr": "x^2-4", "root": 10**400, "starts": [3]}]),
+            f"entry 0, field 'root': expected a finite number, got {10**400}",
+        ),
+    ],
+    ids=["100000-nested-arrays", "start-too-large-for-a-float", "root-too-large-for-a-float"],
+)
+def test_bad_problem_file_is_one_error_line(tmp_path, capsys, data, message):
+    path = tmp_path / "p.json"
+    path.write_text(data)
+    code, out, err = run_cli(capsys, "solve", "--problems", str(path), "--problem", "t", "--method", "newton", "--x0", "3")
+    assert (code, out, err) == (1, "", f"error: {message}\n")  # no traceback
+
+
+@pytest.mark.parametrize(
     "text",
     [" + ".join(["1"] * 1499 + ["x"]), "sin(" * 3000 + "2" + ")" * 3000 + " - x"],
     ids=["1500-term-sum-of-constants", "3000-sin-around-a-constant"],

@@ -9,8 +9,9 @@ CLI's text, number formatting, column order or exit codes fails here.
 
 Recorded by running this file as a script from the repository root::
 
-    PYTHONPATH=src python tests/test_cli_bytes.py
+    PYTHONPATH=src python tests/test_cli_bytes.py --record
 
+Without ``--record`` the script checks the data and prints what differs.
 The file is a record of past behaviour, not a target: do not re-record it
 to make a change pass.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -74,6 +76,6 @@ def test_every_cli_output_is_byte_identical():
 
 
 if __name__ == "__main__":
-    DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(json.dumps(cli_digests(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {DATA}")
+    from pins import check_or_record
+
+    sys.exit(check_or_record(DATA, cli_digests()))

@@ -140,6 +140,8 @@ def test_load_entry_matches_builtin(tmp_path):
         ({"name": "t", "expr": "x", "starts": [1], "expected": {"newton@x": 3}}, "expected"),
         ({"name": "t", "expr": "x", "starts": [1], "expected": {"newton@1": "sometimes"}}, "expected"),
         ({"name": "t", "expr": "x", "starts": [1], "expected": {"newton@1": -2}}, "expected"),
+        ({"name": "t", "expr": "x", "starts": [10**400]}, "starts"),
+        ({"name": "t", "expr": "x", "starts": [1], "root": -(10**400)}, "root"),
     ],
 )
 def test_load_schema_violations(tmp_path, entry, field):
@@ -160,6 +162,13 @@ def test_load_rejects_non_array(tmp_path):
 def test_load_rejects_bad_json(tmp_path):
     path = tmp_path / "problems.json"
     path.write_text("not json")
+    with pytest.raises(ProblemFileError):
+        load_problems(path)
+
+
+def test_load_rejects_deeply_nested_json(tmp_path):
+    path = tmp_path / "problems.json"
+    path.write_text("[" * 100_000)
     with pytest.raises(ProblemFileError):
         load_problems(path)
 

@@ -10,8 +10,9 @@ the classification that moves a single bit fails here.
 
 Recorded by running this file as a script from the repository root::
 
-    PYTHONPATH=src python tests/test_corpus_bits.py
+    PYTHONPATH=src python tests/test_corpus_bits.py --record
 
+Without ``--record`` the script checks the data and prints what differs.
 The file is a record of past behaviour, not a target: do not re-record it
 to make a change pass.  This file also tests the evaluator's compiled-form
 cache.
@@ -25,6 +26,7 @@ import json
 import math
 import pickle
 import struct
+import sys
 from pathlib import Path
 
 import pytest
@@ -182,7 +184,6 @@ def test_non_finite_number_raises_on_every_call(value):
 
 
 if __name__ == "__main__":
-    DATA.parent.mkdir(exist_ok=True)
-    record = {"traces": trace_bits(), "grid": grid_bits(), "edges": edge_bits()}
-    DATA.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {DATA}")
+    from pins import check_or_record
+
+    sys.exit(check_or_record(DATA, {"traces": trace_bits(), "grid": grid_bits(), "edges": edge_bits()}))

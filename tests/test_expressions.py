@@ -5,6 +5,7 @@ from types import MethodType
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_eval_pins import CONSTANT_VALUES, X_POINTS
 
 from twopoint.expressions import (
     CONSTANTS,
@@ -329,6 +330,13 @@ def test_number_rendering(value, text):
     assert parse(text) == Expression(Number(value))
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_number_renders_as_its_repr(value):
+    # such a tree is not parser-built, so no round trip is promised
+    expr = Expression(BinOp("+", Variable(), Number(value)))
+    assert render(expr) == str(expr) == f"x + {value!r}"
+
+
 # each builtin function with its math reference and in-domain points
 _FUNCTION_REFERENCES = {
     "abs": (abs, (-2.5, 0.75)),
@@ -355,14 +363,14 @@ def test_function_rule_matches_math_and_central_difference(name):
         assert math.isclose(got.deriv, (reference(x + h) - reference(x - h)) / (2 * h), rel_tol=1e-6)
 
 
-# --- compiled chains against the unspecialized rules -----------------------
+# --- compiled chains against unfolded chains of the same rules ------------
 
 
 def _reference_chain(node):
-    """The chain of the generic rules alone: no subtree folded, no operand bound."""
+    """The chain of the same rules with no subtree folded: every operand is a closure."""
     kind = type(node)
     if kind is BinOp:
-        return MethodType(_BINOP_RULES[node.op], (_reference_chain(node.left), _reference_chain(node.right)))
+        return MethodType(_BINOP_RULES[node.op], (_reference_chain(node.left), _reference_chain(node.right), 0.0, 0.0))
     if kind is Call:
         return MethodType(_CALL_RULES[node.func], _reference_chain(node.arg))
     if kind is Neg:
@@ -398,13 +406,9 @@ def _assert_matches_reference(expr, xs):
         assert _outcome(evaluate, x) == _outcome(reference, x), (expr, x)
 
 
-# the signs of zero, values whose rounding shows an operation moved, and
-# the edges of the rules' domains
-_X_POINTS = (0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.7, 1e-170, -1e-300, 123.456)
-
 _CONSTANT_LEAVES = st.one_of(
     st.sampled_from([Constant("pi"), Constant("e")]),
-    st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.5, 1 / 3, -1.5, 3.0, 1e-170, 5e-324, 1e308, math.inf]).map(Number),
+    st.sampled_from(CONSTANT_VALUES).map(Number),
     st.floats(min_value=-10.0, max_value=10.0, allow_nan=False).map(Number),
 )
 
@@ -426,7 +430,7 @@ def _constant_rich(depth: int):
 @given(_constant_rich(5).map(Expression))
 @settings(derandomize=True, deadline=None, max_examples=1500)
 def test_compiled_chain_matches_generic_rules_bit_for_bit(expr):
-    _assert_matches_reference(expr, _X_POINTS)
+    _assert_matches_reference(expr, X_POINTS)
 
 
 _EDGE_CASES = [
@@ -454,4 +458,4 @@ _EDGE_CASES = [
     + [pytest.param(Expression(BinOp("+", Variable(), Number(math.inf))), id="x + inf")],
 )
 def test_specialized_rules_match_generic_rules_at_edges(expr):
-    _assert_matches_reference(expr, _X_POINTS)
+    _assert_matches_reference(expr, X_POINTS)

@@ -15,8 +15,9 @@ position or an ``expected`` tuple on one of them fails here.
 
 Recorded by running this file as a script from the repository root::
 
-    PYTHONPATH=src python tests/test_parse_pins.py
+    PYTHONPATH=src python tests/test_parse_pins.py --record
 
+Without ``--record`` the script checks the data and prints what differs.
 The file is a record of past behaviour, not a target: do not re-record it
 to make a change pass.
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -178,6 +180,6 @@ def test_every_block_of_trees_and_errors_is_unchanged(texts):
 
 
 if __name__ == "__main__":
-    DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(json.dumps({"blocks": block_digests(inputs())}, indent=1) + "\n")
-    print(f"wrote {DATA}")
+    from pins import check_or_record
+
+    sys.exit(check_or_record(DATA, {"blocks": block_digests(inputs())}))
