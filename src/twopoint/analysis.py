@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .solvers import Method, Trace, ieee_div
 
@@ -41,8 +41,7 @@ _ORDER_TAIL = 5
 _FLOOR_FACTOR = 1e3 * sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class ErrorSequence:
+class ErrorSequence(NamedTuple):
     reference_root: float
     errors: tuple[float, ...]
     # leading errors that belong to seed points; the ratio between two seed
@@ -50,8 +49,7 @@ class ErrorSequence:
     seeds: int = 1
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     # NaN where the validity filter rejected the pair; a valid c_k is finite
     ck: tuple[float, ...]
     # median COC over the tail window; present only with >= 3 valid entries

@@ -18,6 +18,7 @@ from typing import Sequence
 from . import analysis, corpus
 from .expressions import Expression, parse
 from .solvers import (
+    DEFAULT_CONFIG,
     Converged,
     DerivativeStall,
     Diverged,
@@ -176,10 +177,10 @@ def _add_selection_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", required=True, choices=[m.value for m in Method])
     p.add_argument("--x0", type=float, required=True)
     p.add_argument("--x1", type=float)
-    p.add_argument("--tol", type=float, default=SolverConfig.tol)
-    p.add_argument("--max-iter", type=int, dest="max_iter", default=SolverConfig.max_iter)
-    p.add_argument("--seed", choices=[s.value for s in Seed], default=SolverConfig.seed.value)
-    p.add_argument("--delta", type=float, default=SolverConfig.delta_rel)
+    p.add_argument("--tol", type=float, default=DEFAULT_CONFIG.tol)
+    p.add_argument("--max-iter", type=int, dest="max_iter", default=DEFAULT_CONFIG.max_iter)
+    p.add_argument("--seed", choices=[s.value for s in Seed], default=DEFAULT_CONFIG.seed.value)
+    p.add_argument("--delta", type=float, default=DEFAULT_CONFIG.delta_rel)
 
 
 def _select(args) -> tuple[Expression, float | None, str]:
@@ -236,14 +237,13 @@ def _cmd_solve(args) -> int:
 
 def bench_rows(tables: Sequence[int]) -> list[tuple]:
     """One BENCH_COLUMNS row per (problem, start, method), in table order; None marks a blank."""
-    config = SolverConfig()
     rows = []
     for table in tables:
         problems = corpus.table1_problems() if table == 1 else corpus.table2_problems()
         for prob in problems:
             for start in prob.starts:
                 for method in corpus.TABLE_METHODS:
-                    trace = solve(prob.expression, method, start, config)
+                    trace = solve(prob.expression, method, start)
                     outcome, iterations, final_x = trace.outcome, trace.iterations, _blank(trace.records[-1].x)
                     comparison = _comparison(outcome, iterations, prob.expected.get((method, start)))
                     rows.append((prob.name, start, method.value, outcome.label, iterations, final_x, comparison))

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .expressions import DomainError, Expression, ParseError, eval_dual, parse
 from .solvers import Converged, Diverged, DomainFailure, Method, Oscillating
@@ -37,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExpectedResult:
+class ExpectedResult(NamedTuple):
     """A benchmark-table cell: the outcome label the paper reports, and its
     iteration count when that label is converged."""
 
@@ -57,14 +55,13 @@ def iteration_count(n: int) -> ExpectedResult:
     return ExpectedResult(Converged.label, n)
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(NamedTuple):
     name: str
     source: str
     expression: Expression
     reference_root: float | None
     starts: tuple[float, ...]
-    expected: Mapping[tuple[Method, float], ExpectedResult] = field(default_factory=dict)
+    expected: Mapping[tuple[Method, float], ExpectedResult]
 
 
 class ProblemFileError(ValueError):
@@ -215,7 +212,7 @@ def load_problems(path: str | Path) -> tuple[Problem, ...]:
     text = Path(path).read_text(encoding="utf-8")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # a JSONDecodeError, or an integer too long to convert
         raise ProblemFileError(f"not valid JSON: {err}") from None
     except RecursionError:
         raise ProblemFileError("not valid JSON: nested too deeply") from None

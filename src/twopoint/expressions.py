@@ -21,10 +21,9 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from types import MethodType
-from typing import Callable
+from typing import Callable, NamedTuple
 
 __all__ = [
     "BinOp",
@@ -79,35 +78,29 @@ class DomainError(ValueError):
 # --- syntax tree ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Number:
+class Number(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(NamedTuple):
     name: str  # "pi" or "e"
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     operand: "Node"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # one of + - * / ^
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     func: str
     arg: "Node"
 
@@ -115,28 +108,61 @@ class Call:
 Node = Number | Variable | Constant | Neg | BinOp | Call
 
 
-@dataclass(frozen=True)
-class Expression:
+class _Frozen:
+    """Fields named in ``_fields``, set once by ``__init__``, with a repr in
+    the form ``Name(field=value, ...)``, and equality and hashing over the
+    fields with an instance of the same class only.  The outcomes and
+    ``SolverConfig`` in ``solvers`` share it."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}, got {values!r}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={value!r}" for name, value in zip(self._fields, self._values())])
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__: a SolverConfig is checked
+        # again, and an Expression leaves its compiled chain behind
+        return type(self), self._values()
+
+
+class Expression(_Frozen):
     """Immutable parse tree of a real scalar function of ``x``."""
 
-    root: Node
+    _fields = ("root",)
 
     def __str__(self) -> str:
         return render(self)
 
     @cached_property
     def _compiled(self) -> _Fn:
-        # cached_property writes the instance __dict__ directly, past the
-        # frozen __setattr__; eq, hash and repr read only the fields
+        # cached_property writes the instance __dict__ directly; eq, hash,
+        # repr, pickle and copy read only the tree
         return _compile(self.root)
 
-    def __getstate__(self) -> dict:
-        # pickle and copy take the tree only; the closures cannot be pickled
-        return {"root": self.root}
 
-
-@dataclass(frozen=True)
-class Dual:
+class Dual(NamedTuple):
     """Value and derivative with respect to ``x`` at the evaluation point."""
 
     value: float

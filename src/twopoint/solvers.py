@@ -17,11 +17,10 @@ failure, derivative stall, or iteration budget exhausted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
-from .expressions import DomainError, Expression, eval_dual
+from .expressions import DomainError, Expression, _Frozen, eval_dual
 
 __all__ = [
     "Converged",
@@ -84,8 +83,7 @@ class Seed(Enum):
     GUARDED_NEWTON = "guarded-newton"
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(_Frozen):
     """Stopping tolerance, step budget and seeding of one run.
 
     ``delta_rel`` sizes every perturbation: the PERTURB seed, the
@@ -95,22 +93,23 @@ class SolverConfig:
     CYCLE_MIN_ITERS, and MAX_HALVINGS for GUARDED_NEWTON.
     """
 
-    tol: float = 1e-15
-    max_iter: int = 1000
-    seed: Seed = Seed.PERTURB
-    delta_rel: float = 1e-4
+    __slots__ = _fields = ("tol", "max_iter", "seed", "delta_rel")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.delta_rel) and self.delta_rel != 0.0):
+    def __init__(self, tol: float = 1e-15, max_iter: int = 1000, seed: Seed = Seed.PERTURB, delta_rel: float = 1e-4):
+        if not (math.isfinite(delta_rel) and delta_rel != 0.0):
             raise ValueError("delta must be finite and nonzero")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
+        if not (math.isfinite(tol) and tol > 0.0):
             raise ValueError("tol must be finite and positive")
-        if self.max_iter < 2:
+        if max_iter < 2:
             raise ValueError("max_iter must be at least 2")
+        super().__init__(tol, max_iter, seed, delta_rel)
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+# the configuration of a run given none, and the CLI's defaults
+DEFAULT_CONFIG = SolverConfig()
+
+
+class IterationRecord(NamedTuple):
     k: int
     x: float
     y: float
@@ -118,49 +117,42 @@ class IterationRecord:
     r_weight: float  # two-point weight of the step taken *from* this record
 
 
-@dataclass(frozen=True)
-class Converged:
-    root: float
-    iterations: int
+class Converged(_Frozen):
+    __slots__ = _fields = ("root", "iterations")
     label = "converged"
 
 
-@dataclass(frozen=True)
-class Diverged:
-    last_x: float
+class Diverged(_Frozen):
+    __slots__ = _fields = ("last_x",)
     label = "diverged"
 
 
-@dataclass(frozen=True)
-class Oscillating:
-    period: int
+class Oscillating(_Frozen):
+    __slots__ = _fields = ("period",)
     label = "oscillating"
 
 
-@dataclass(frozen=True)
-class DomainFailure:
-    iteration: int  # 1-based index of the step that could not be taken
-    detail: str
+class DomainFailure(_Frozen):
+    # iteration: the 1-based index of the step that could not be taken
+    __slots__ = _fields = ("iteration", "detail")
     label = "domain-failure"
 
 
-@dataclass(frozen=True)
-class DerivativeStall:
-    iteration: int  # 1-based index of the step that could not be taken
+class DerivativeStall(_Frozen):
+    # iteration: the 1-based index of the step that could not be taken
+    __slots__ = _fields = ("iteration",)
     label = "derivative-stall"
 
 
-@dataclass(frozen=True)
-class MaxIterationsExceeded:
-    last_x: float
+class MaxIterationsExceeded(_Frozen):
+    __slots__ = _fields = ("last_x",)
     label = "max-iterations"
 
 
 Outcome = Union[Converged, Diverged, Oscillating, DomainFailure, DerivativeStall, MaxIterationsExceeded]
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     method: Method
     records: tuple[IterationRecord, ...]
     outcome: Outcome
@@ -241,7 +233,7 @@ def _eval_ok(expr: Expression, x: float) -> bool:
 
 def seed_second_point(expr: Expression, x0: float, config: SolverConfig | None = None) -> float:
     """Pick the second starting point for the two-seed methods per ``config.seed``."""
-    config = config or SolverConfig()
+    config = config or DEFAULT_CONFIG
     if config.seed is Seed.GUARDED_NEWTON:
         d0 = eval_dual(expr, x0)
         if d0.deriv != 0.0 and math.isfinite(d0.deriv):
@@ -333,7 +325,7 @@ def solve(
     raises ValueError; for the two-seed methods so does a non-finite x1 or
     x1 == x0, unless x0 is a root.
     """
-    config = config or SolverConfig()
+    config = config or DEFAULT_CONFIG
     newton, secant = method is Method.NEWTON, method is Method.SECANT
     seeds = _SEEDS[method]
     # the index of the record that spends the step budget

@@ -406,10 +406,25 @@ def test_deeply_nested_expression_is_a_usage_error(tmp_path, capsys):
         assert out == ""
 
 
+# a start of 5001 digits, more than json converts to an int
+LONG_INT_FILE = '[{"name": "t", "expr": "x", "starts": [1' + "0" * 5000 + "]}]"
+
+
+def _json_error(text: str) -> str:
+    """The loader's message for ``text``, which json cannot read; its wording
+    differs between Python versions."""
+    try:
+        json.loads(text)
+    except ValueError as err:
+        return f"not valid JSON: {err}"
+    raise AssertionError("the text is valid JSON")
+
+
 @pytest.mark.parametrize(
     "data,message",
     [
         ("[" * 100_000, "not valid JSON: nested too deeply"),
+        (LONG_INT_FILE, _json_error(LONG_INT_FILE)),
         (
             json.dumps([{"name": "t", "expr": "x^2-4", "starts": [10**400]}]),
             f"entry 0, field 'starts': expected a finite number, got {10**400}",
@@ -419,7 +434,7 @@ def test_deeply_nested_expression_is_a_usage_error(tmp_path, capsys):
             f"entry 0, field 'root': expected a finite number, got {10**400}",
         ),
     ],
-    ids=["100000-nested-arrays", "start-too-large-for-a-float", "root-too-large-for-a-float"],
+    ids=["100000-nested-arrays", "5001-digit-start", "start-too-large-for-a-float", "root-too-large-for-a-float"],
 )
 def test_bad_problem_file_is_one_error_line(tmp_path, capsys, data, message):
     path = tmp_path / "p.json"

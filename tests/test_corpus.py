@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -60,7 +59,7 @@ def test_find_problem_unknown():
 
 def test_find_problem_searches_extra_before_builtins():
     builtin = find_problem("atan(x)")
-    own = replace(builtin, source="atan(x) - 1", expression=parse("atan(x) - 1"))
+    own = builtin._replace(source="atan(x) - 1", expression=parse("atan(x) - 1"))
     assert find_problem("atan(x)", (own,)) is own
     assert find_problem("cbrt(x)", (own,)) is find_problem("cbrt(x)")
     with pytest.raises(KeyError) as info:
@@ -171,6 +170,15 @@ def test_load_rejects_deeply_nested_json(tmp_path):
     path.write_text("[" * 100_000)
     with pytest.raises(ProblemFileError):
         load_problems(path)
+
+
+def test_load_rejects_integer_too_long_to_convert(tmp_path):
+    path = tmp_path / "problems.json"
+    path.write_text('[{"name": "t", "expr": "x", "starts": [1' + "0" * 5000 + "]}]")
+    with pytest.raises(ProblemFileError) as info:
+        load_problems(path)
+    # "(4300 digits)" from Python 3.11 on, "(4300)" before
+    assert str(info.value).startswith("not valid JSON: Exceeds the limit (4300")
 
 
 def test_load_missing_file(tmp_path):

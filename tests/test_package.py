@@ -21,3 +21,17 @@ def test_cli_import_leaves_statistics_unloaded():
     code = "import sys, twopoint.cli; print(sorted(m for m in ('statistics', 'twopoint.cli') if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out == "['twopoint.cli']\n"
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # dataclasses, with the inspect, ast and dis it imports, took about two
+    # thirds of the CLI's import time; the value types do without them.  Only
+    # what the import adds counts: on some hosts site has loaded inspect already
+    src = str(Path(twopoint.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = (
+        "import sys; before = set(sys.modules); import twopoint.cli; "
+        "print(sorted((set(sys.modules) - before) & {'dataclasses', 'inspect'}))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
