@@ -1,4 +1,4 @@
-"""Error sequences, per-step convergence rates, and step-weight diagnostics.
+"""Error sequences and per-step convergence rates.
 
 The per-step rate pairs consecutive errors through
 
@@ -27,14 +27,13 @@ import math
 import sys
 from typing import NamedTuple
 
-from .solvers import Method, Trace, ieee_div
+from .solvers import Trace
 
 __all__ = [
     "ConvergenceReport",
     "ErrorSequence",
     "ck_sequence",
     "error_sequence",
-    "weight_sequence",
 ]
 
 _ORDER_TAIL = 5
@@ -106,20 +105,3 @@ def ck_sequence(errors: ErrorSequence) -> ConvergenceReport:
     order = cocs[mid] if len(cocs) % 2 else (cocs[mid - 1] + cocs[mid]) / 2
     return ConvergenceReport(tuple(ck), order, len(tail))
 
-
-def weight_sequence(trace: Trace) -> tuple[tuple[float, float, float], ...]:
-    """Per-record (r, w_prev, w_cur) with w_prev = 1 - 1/r and w_cur = 1/r.
-
-    r = +/-inf maps to weights (1, 0); records without an outgoing
-    two-point step (r = NaN) are omitted.
-    """
-    if trace.method is not Method.TWO_POINT:
-        raise ValueError(f"weights are defined for two-point traces, not {trace.method.value}")
-    out = []
-    for rec in trace.records:
-        r = rec.r_weight
-        if math.isnan(r):
-            continue
-        w_cur = ieee_div(1.0, r)
-        out.append((r, 1.0 - w_cur, w_cur))
-    return tuple(out)

@@ -50,7 +50,7 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
-    # the subcommand's parser runs this again on the words after its name
+    # main hands the words after a command's name to its parser alone, so this runs once
     def parse_known_args(self, args=None, namespace=None):
         args = list(sys.argv[1:] if args is None else args)
         valued = [s for s, action in self._option_string_actions.items() if action.nargs is None]
@@ -261,8 +261,8 @@ def _cmd_bench(args) -> int:
 
 
 @functools.cache
-def _make_parser() -> _ArgumentParser:
-    """The argument parser, built on first use and reused for every call."""
+def _make_parser() -> tuple[_ArgumentParser, dict[str, _ArgumentParser]]:
+    """The top-level parser and each command's parser by name, built once and reused."""
     parser = _ArgumentParser(prog="twopoint", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -283,12 +283,17 @@ def _make_parser() -> _ArgumentParser:
     p_trace.add_argument("--out")
     p_trace.set_defaults(func=_cmd_solve, format="csv", verbose=False)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _make_parser().parse_args(argv)
+        parser, commands = _make_parser()
+        words = list(sys.argv[1:] if argv is None else argv)
+        # the words after a command's name go to its parser alone; the top-level
+        # parser answers -h, --help and a missing or unknown command
+        command = commands.get(words[0]) if words else None
+        args = command.parse_args(words[1:]) if command else parser.parse_args(words)
         code = args.func(args)
         # output still in the buffer meets a closed stdout here, not at exit
         sys.stdout.flush()

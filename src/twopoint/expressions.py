@@ -155,6 +155,23 @@ class Expression(_Frozen):
     def __str__(self) -> str:
         return render(self)
 
+    def __hash__(self) -> int:
+        # a node hashes as the tuple of its fields, each child standing in by
+        # its hash, so equal trees hash equal without recursion at any depth
+        done: list[int] = []
+        for node in _postorder(self.root):
+            kind = type(node)
+            if kind is BinOp:
+                right = done.pop()
+                done[-1] = hash((node.op, done[-1], right))
+            elif kind is Call:
+                done[-1] = hash((node.func, done[-1]))
+            elif kind is Neg:
+                done[-1] = hash((done[-1],))
+            else:
+                done.append(hash(node))
+        return done[0]
+
     @cached_property
     def _compiled(self) -> _Fn:
         # cached_property writes the instance __dict__ directly; eq, hash,

@@ -297,12 +297,15 @@ def _oscillation(records: Sequence[IterationRecord]) -> Oscillating | None:
     tol = CYCLE_TOL_REL * max(1.0, abs(x))
     if move <= tol:
         return None
-    tol_prev = CYCLE_TOL_REL * max(1.0, abs(x_prev))
     for p in range(2, CYCLE_PERIOD_MAX + 1):
-        lag, lag_prev = records[-1 - p].x, records[-2 - p].x
+        lag = records[-1 - p].x
+        # nearly every record fails this first, cheapest test; so does NaN
+        if not abs(x - lag) <= tol:
+            continue
+        lag_prev = records[-2 - p].x
         if move < 0.75 * abs(lag - lag_prev):
             continue
-        if abs(x - lag) <= tol and abs(x_prev - lag_prev) <= tol_prev:
+        if abs(x_prev - lag_prev) <= CYCLE_TOL_REL * max(1.0, abs(x_prev)):
             return Oscillating(p)
     return None
 

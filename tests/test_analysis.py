@@ -2,16 +2,13 @@ import math
 
 import pytest
 
-from twopoint.analysis import ErrorSequence, ck_sequence, error_sequence, weight_sequence
+from twopoint.analysis import ErrorSequence, ck_sequence, error_sequence
 from twopoint.expressions import parse
 from twopoint.solvers import Converged, IterationRecord, Method, SolverConfig, Trace, solve
 
 
-def _trace(xs, method=Method.TWO_POINT, rs=None):
-    rs = rs or [math.nan] * len(xs)
-    records = tuple(
-        IterationRecord(k, x, 1.0, 1.0, r) for k, (x, r) in enumerate(zip(xs, rs))
-    )
+def _trace(xs, method=Method.TWO_POINT):
+    records = tuple(IterationRecord(k, x, 1.0, 1.0, math.nan) for k, x in enumerate(xs))
     return Trace(method, records, Converged(xs[-1], len(xs) - 1), SolverConfig())
 
 
@@ -141,28 +138,3 @@ def test_two_point_cube_root_ratio_constant_below_one():
     assert all(r < 1.0 for r in ratios)
     assert max(ratios) - min(ratios) <= 0.02
 
-
-def test_weight_sequence_identities():
-    trace = _trace([0.0, 1.0, 2.0, 3.0], rs=[math.nan, 1.0, 2.0, math.nan])
-    weights = weight_sequence(trace)
-    assert weights == ((1.0, 0.0, 1.0), (2.0, 0.5, 0.5))
-
-
-def test_weight_sequence_infinite_r():
-    trace = _trace([0.0, 1.0, 2.0], rs=[math.nan, math.inf, math.nan])
-    assert weight_sequence(trace) == ((math.inf, 1.0, 0.0),)
-
-
-def test_weight_sequence_rejects_other_methods():
-    trace = _trace([0.0, 1.0], method=Method.NEWTON)
-    with pytest.raises(ValueError):
-        weight_sequence(trace)
-
-
-def test_weights_sum_to_one_on_real_trace():
-    trace = solve(parse("x^2 - 2"), Method.TWO_POINT, 2.0)
-    weights = weight_sequence(trace)
-    assert weights, "expected at least one stepped record"
-    for r, w_prev, w_cur in weights:
-        if math.isfinite(r) and abs(r) >= 1e-12:
-            assert w_prev + w_cur == 1.0

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twopoint.cli import _write_csv, main
+from twopoint.cli import _ArgumentParser, _write_csv, main
 
 
 def run_cli(capsys, *argv):
@@ -393,6 +393,121 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "converged" in proc.stdout
+
+
+# recorded with COLUMNS=80 when the top-level parser read every command line;
+# the same on Python 3.10-3.13
+_HELP = {
+    "twopoint": """\
+usage: twopoint [-h] {solve,bench,trace} ...
+
+Command-line interface: solve one equation, reproduce the benchmark tables, or
+dump per-iteration data for plotting. Exit codes: 0 when the run converged, 2
+for any non-convergent outcome, and 1 for usage errors (bad flags, unparseable
+expressions, unknown problems).
+
+positional arguments:
+  {solve,bench,trace}
+    solve              solve a single equation
+    bench              run the builtin benchmark tables
+    trace              emit per-iteration CSV for one run
+
+options:
+  -h, --help           show this help message and exit
+""",
+    "trace": """\
+usage: twopoint trace [-h] [--expr EXPR] [--problem PROBLEM]
+                      [--problems PROBLEMS] --method {newton,secant,twopoint}
+                      --x0 X0 [--x1 X1] [--tol TOL] [--max-iter MAX_ITER]
+                      [--seed {perturb,guarded-newton}] [--delta DELTA]
+                      [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --expr EXPR           expression text in the variable x
+  --problem PROBLEM     name of a builtin (or --problems file) problem
+  --problems PROBLEMS   JSON problem file adding lookup names for --problem
+  --method {newton,secant,twopoint}
+  --x0 X0
+  --x1 X1
+  --tol TOL
+  --max-iter MAX_ITER
+  --seed {perturb,guarded-newton}
+  --delta DELTA
+  --out OUT
+""",
+    "solve": """\
+usage: twopoint solve [-h] [--expr EXPR] [--problem PROBLEM]
+                      [--problems PROBLEMS] --method {newton,secant,twopoint}
+                      --x0 X0 [--x1 X1] [--tol TOL] [--max-iter MAX_ITER]
+                      [--seed {perturb,guarded-newton}] [--delta DELTA]
+                      [--format {table,json,csv}] [--verbose]
+
+options:
+  -h, --help            show this help message and exit
+  --expr EXPR           expression text in the variable x
+  --problem PROBLEM     name of a builtin (or --problems file) problem
+  --problems PROBLEMS   JSON problem file adding lookup names for --problem
+  --method {newton,secant,twopoint}
+  --x0 X0
+  --x1 X1
+  --tol TOL
+  --max-iter MAX_ITER
+  --seed {perturb,guarded-newton}
+  --delta DELTA
+  --format {table,json,csv}
+  --verbose
+""",
+    "bench": """\
+usage: twopoint bench [-h] [--table {1,2,all}] [--out OUT]
+                      [--format {csv,json}]
+
+options:
+  -h, --help           show this help message and exit
+  --table {1,2,all}
+  --out OUT
+  --format {csv,json}
+""",
+}
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("name", list(_HELP))
+def test_help_text(monkeypatch, capsys, name, flag):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit:
+        main([flag] if name == "twopoint" else [name, flag])
+    assert exit.value.code == 0
+    assert capsys.readouterr() == (_HELP[name], "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ((), "the following arguments are required: command"),
+        (("-x",), "the following arguments are required: command"),
+        (("tra", "--x0", "1"), "argument command: invalid choice: 'tra' (choose from 'solve', 'bench', 'trace')"),
+        (("Trace",), "argument command: invalid choice: 'Trace' (choose from 'solve', 'bench', 'trace')"),
+        (("bench", "trace"), "unrecognized arguments: trace"),
+    ],
+)
+def test_missing_or_unknown_command(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_command_line_is_parsed_once(monkeypatch, capsys):
+    parsed = []
+    parse_known_args = _ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(_ArgumentParser, "parse_known_args", counted)
+    code, out, _ = run_cli(capsys, "trace", "--expr", "x^2 - 2", "--method", "twopoint", "--x0", "-2")
+    assert code == 0
+    assert out.startswith("k,x,")
+    assert parsed == ["twopoint trace"]
 
 
 def test_deeply_nested_expression_is_a_usage_error(tmp_path, capsys):

@@ -8,15 +8,18 @@ unwritable ``--out`` paths all end in a one-line ``error:`` and exit 1.
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twopoint.cli import main
+from twopoint import cli
+from twopoint.cli import _UsageError, main
 from twopoint.corpus import builtin_problems
 from twopoint.expressions import FUNCTIONS
 
@@ -141,3 +144,110 @@ def test_bench_exit_0_or_1(files, data):
         out=_optional(st.sampled_from(outs)),
     )
     assert _run(argv) in (0, 1)
+
+
+# --- the command's parser alone reads what the top-level parser would -------
+
+# Words outside an option: command names, misspelled ones, help, the end of
+# options, a lone flag, option-like values, and garbage
+LOOSE_WORDS = st.sampled_from(
+    ["solve", "trace", "bench", "tra", "Trace", "-h", "--help", "--h", "--"]
+    + ["", "-", "-x", "-1e-05", "-x+1", "--verbose"]
+) | st.text(max_size=5)
+
+# The values each option is drawn with; parsing reads and writes no file
+_VALUES = {
+    "--expr": EXPRESSIONS,
+    "--problem": PROBLEM_NAMES,
+    "--problems": st.just("problems.json"),
+    "--method": _choice("newton", "secant", "twopoint"),
+    "--x0": _float_texts(-10.0, 10.0),
+    "--x1": _float_texts(-10.0, 10.0),
+    "--tol": _float_texts(1e-16, 1e-3),
+    "--max-iter": _mostly(st.integers(2, 2000).map(str), GARBAGE),
+    "--seed": _choice("perturb", "guarded-newton"),
+    "--delta": _float_texts(-1.0, 1.0),
+    "--format": _choice("table", "json", "csv"),
+    "--table": _choice("1", "2", "all"),
+    "--out": st.just("out.csv"),
+}
+OPTION_VALUES = {option: _mostly(values, LOOSE_WORDS) for option, values in _VALUES.items()}
+SELECTION = [option for option in _VALUES if option not in ("--format", "--table", "--out")]
+# the options of each command; any other first word draws from them all
+COMMAND_OPTIONS = {
+    "solve": SELECTION + ["--format"],
+    "trace": SELECTION + ["--out"],
+    "bench": ["--table", "--format", "--out"],
+}
+
+
+def _option_words(draw, option: str) -> list[str]:
+    """``option``, maybe abbreviated, with its value attached, apart or missing."""
+    flag = option[: draw(_mostly(st.just(len(option)), st.integers(3, len(option))))]
+    value = draw(OPTION_VALUES[option])
+    form = draw(_mostly(st.sampled_from(["=", " "]), st.just("missing")))
+    if form == "=":
+        return [f"{flag}={value}"]
+    return [flag, value] if form == " " else [flag]
+
+
+def _outcome(parse, argv):
+    """What ``parse(argv)`` returned, or the usage error or exit it raised,
+    with what it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exit:
+            result = ("exit", exit.code)
+        except _UsageError as error:
+            result = ("usage error", str(error))
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def recording_parsers():
+    """A parser of its own whose commands only record the namespace they get."""
+    seen = []
+    parser, commands = cli._make_parser.__wrapped__()
+    for command in commands.values():
+        command.set_defaults(func=lambda args: seen.append(args) or 0)
+    return parser, commands, seen
+
+
+def _without_command(args: argparse.Namespace) -> dict:
+    """The parsed values but ``command``, as repr text, so that NaN equals NaN."""
+    return {name: repr(value) for name, value in vars(args).items() if name != "command"}
+
+
+@given(data=st.data())
+@FUZZ
+def test_main_parses_like_the_top_level_parser(recording_parsers, data):
+    parser, commands, seen = recording_parsers
+    first = data.draw(_mostly(st.sampled_from(["solve", "trace", "bench"]), LOOSE_WORDS | st.none()))
+    argv = [] if first is None else [first]
+    if data.draw(st.integers(0, 3)):
+        # the options solve and trace require, so that more lines parse
+        argv += _option_words(data.draw, "--method") + _option_words(data.draw, "--x0")
+    options = st.sampled_from(list(OPTION_VALUES))
+    if first in COMMAND_OPTIONS:
+        options = _mostly(st.sampled_from(COMMAND_OPTIONS[first]), options)
+    for _ in range(data.draw(st.integers(0, 5))):
+        # one word in eight is loose
+        if data.draw(st.integers(0, 7)):
+            argv += _option_words(data.draw, data.draw(options))
+        else:
+            argv.append(data.draw(LOOSE_WORDS))
+
+    seen.clear()
+    want, out, err = _outcome(parser.parse_args, argv)
+    with mock.patch.object(cli, "_make_parser", lambda: (parser, commands)):
+        got = _outcome(main, argv)
+    if isinstance(want, argparse.Namespace):
+        assert got == (0, out, err)
+        (args,) = seen
+        assert _without_command(args) == _without_command(want)
+    elif want[0] == "usage error":
+        assert got == (1, out, f"{err}error: {want[1]}\n")
+    else:
+        assert got == (want, out, err)

@@ -1,5 +1,7 @@
 import math
 import struct
+import subprocess
+import sys
 from types import MethodType
 
 import pytest
@@ -286,6 +288,13 @@ def test_render_minimal_parens(text, want):
 )
 def test_render_deep_tree_without_recursion(text):
     assert render(parse(text)) == text
+
+
+def test_hash_of_a_deep_expression_does_not_crash():
+    # in a child process, which a crash ends instead of the test runner
+    script = "from twopoint.expressions import parse; t = '-' * 200000 + 'x'; print(hash(parse(t)) == hash(parse(t)))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
 
 
 @pytest.mark.parametrize(

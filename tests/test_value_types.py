@@ -146,6 +146,16 @@ def test_expression_equals_only_an_expression():
     assert expr == parse("x + 1") and hash(expr) == hash(parse("x + 1"))
 
 
+def test_equal_expressions_hash_equal():
+    # equal numbers that render differently
+    big_float = Expression(BinOp("+", Number(1e16), Variable()))
+    big_int = Expression(BinOp("+", Number(10**16), Variable()))
+    assert big_float == big_int and str(big_float) != str(big_int)
+    assert hash(big_float) == hash(big_int)
+    text = "-sin(x)^2 / (pi - e * cbrt(x + 1.5))"
+    assert hash(parse(text)) == hash(parse(text)) != hash(parse(text.replace("pi", "e")))
+
+
 DEFAULTS = {"tol": 1e-15, "max_iter": 1000, "seed": Seed.PERTURB, "delta_rel": 1e-4}
 
 
