@@ -334,9 +334,8 @@ def solve(
     # the index of the record that spends the step budget
     last_k = config.max_iter + seeds - 1
     records: list[IterationRecord] = []
-
-    def visit(x: float) -> Outcome | None:
-        """Evaluate at x, append its record and classify the trace so far."""
+    x = x0
+    while True:
         k = len(records)
         y = dy = _NAN
         error = None
@@ -349,38 +348,34 @@ def solve(
             except DomainError as err:
                 error = err
         records.append(IterationRecord(k, x, y, dy, _NAN))
-        return classify(records, config, method, domain_error=error, steps_exhausted=k >= last_k)
-
-    outcome = visit(x0)
-    if outcome is None and seeds == 2:
-        if x1 is None:
-            x1 = seed_second_point(expr, x0, config)
-        elif x1 == x0:
-            raise ValueError("x1 must differ from x0")
-        outcome = visit(x1)
-
-    while outcome is None:
-        cur = records[-1]
-        if newton:
-            x_next = newton_step(cur.x, cur.y, cur.dy)
+        outcome = classify(records, config, method, domain_error=error, steps_exhausted=k >= last_k)
+        if outcome is not None:
+            break
+        # the next point: the second seed, or a step from the last record
+        if k + 1 < seeds:
+            if x1 == x0:
+                raise ValueError("x1 must differ from x0")
+            x = seed_second_point(expr, x0, config) if x1 is None else x1
+        elif newton:
+            x = newton_step(x, y, dy)
         elif secant:
             prev = records[-2]
             try:
-                x_next = secant_step(prev.x, prev.y, cur.x, cur.y)
+                x = secant_step(prev.x, prev.y, x, y)
             except DegenerateSlopeError:
-                outcome = DerivativeStall(_steps(cur.k, method) + 1)
+                outcome = DerivativeStall(_steps(k, method) + 1)
                 break
         else:
             prev = records[-2]
-            if abs(cur.x - prev.x) < SEP_EPSILON:
+            if abs(x - prev.x) < SEP_EPSILON:
                 # degenerate-slope guard: substitute a Newton step
-                x_next = newton_step(cur.x, cur.y, cur.dy)
+                x = newton_step(x, y, dy)
             else:
-                x_next, r = twopoint_step(prev.x, prev.y, cur.x, cur.y, cur.dy)
-                records[-1] = IterationRecord(cur.k, cur.x, cur.y, cur.dy, r)
-            if x_next == prev.x:
+                x_next, r = twopoint_step(prev.x, prev.y, x, y, dy)
+                records[-1] = IterationRecord(k, x, y, dy, r)
+                x = x_next
+            if x == prev.x:
                 # an exact return to x_prev (the dy = 0 limit) would start a
                 # 2-cycle; nudge to break it
-                x_next = x_next + config.delta_rel * max(1.0, abs(x_next))
-        outcome = visit(x_next)
+                x += config.delta_rel * max(1.0, abs(x))
     return Trace(method, tuple(records), outcome, config)

@@ -81,6 +81,19 @@ def test_solve_json_verbose_records(capsys):
     assert payload["records"][0]["x"] == 2.0
 
 
+def test_json_writes_an_infinite_weight_as_a_bare_token(capsys):
+    # f' = 0 at x1 gives r = -inf, the paper's zero-derivative case; json
+    # writes it as -Infinity, which strict RFC 8259 parsers reject
+    code, out, _ = run_cli(
+        capsys,
+        "solve", "--expr", "x^2 + 1", "--method", "twopoint", "--x0", "1", "--x1", "0",
+        "--max-iter", "3", "--format", "json", "--verbose",
+    )
+    assert code == 2
+    assert '{"k": 1, "x": 0.0, "y": 1.0, "dy": 0.0, "r_weight": -Infinity, "abs_error": null, "ck": null}' in out
+    assert json.loads(out)["records"][1]["r_weight"] == -math.inf
+
+
 def test_trace_csv_header_and_offshoot(capsys):
     code, out, _ = run_cli(
         capsys, "trace", "--problem", "sin(x)", "--method", "newton", "--x0", "1.58079633", "--tol", "1e-12"
@@ -492,6 +505,26 @@ def test_help_text(monkeypatch, capsys, name, flag):
     ],
 )
 def test_missing_or_unknown_command(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+# the text argparse wrote on Python 3.10 to 3.13.0; later 3.13 releases
+# drop the quotes around the choices, which the CLI puts back
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("solve", "--expr", "x", "--method", "foo", "--x0", "1"),
+            "argument --method: invalid choice: 'foo' (choose from 'newton', 'secant', 'twopoint')",
+        ),
+        (
+            ("solve", "--expr", "x", "--method", "newton", "--x0", "1", "--seed", "bar"),
+            "argument --seed: invalid choice: 'bar' (choose from 'perturb', 'guarded-newton')",
+        ),
+        (("bench", "--table", "3"), "argument --table: invalid choice: '3' (choose from '1', '2', 'all')"),
+    ],
+)
+def test_invalid_choice_message(capsys, argv, message):
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 

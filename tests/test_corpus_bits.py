@@ -14,26 +14,22 @@ Recorded by running this file as a script from the repository root::
 
 Without ``--record`` the script checks the data and prints what differs.
 The file is a record of past behaviour, not a target: do not re-record it
-to make a change pass.  This file also tests the evaluator's compiled-form
-cache.
+to make a change pass.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import math
-import pickle
 import struct
 import sys
 from pathlib import Path
 
-import pytest
 from conftest import SAMPLE_WINDOWS
 
 from twopoint.corpus import builtin_problems
-from twopoint.expressions import DomainError, Expression, Number, eval_dual, parse
+from twopoint.expressions import DomainError, Expression, eval_dual, parse
 from twopoint.solvers import Method, solve
 
 DATA = Path(__file__).parent / "data" / "corpus_bits.json"
@@ -137,50 +133,6 @@ def test_eval_dual_edge_points_are_bit_identical():
     want = _recorded()["edges"]
     for (text, x), got, expected in zip(EDGE_POINTS, edge_bits(), want, strict=True):
         assert got == expected, (text, x)
-
-
-# --- the compiled form cached on each Expression ---------------------------
-
-
-def test_expression_compiles_once_on_first_evaluation():
-    expr = parse("sin(x) * exp(x) + ln(x^2 + 1) - x^x / cbrt(x)")
-    assert "_compiled" not in vars(expr)  # parsing compiles nothing
-    first = eval_dual(expr, 0.37)
-    chain = vars(expr)["_compiled"]
-    second = eval_dual(expr, 0.37)
-    assert vars(expr)["_compiled"] is chain
-    assert first == second
-    assert _bits(first.value) == _bits(second.value)
-    assert _bits(first.deriv) == _bits(second.deriv)
-
-
-def test_cached_expression_still_equals_a_fresh_parse():
-    text = "(x - 2) * (x + 2)^4 + atan(x)"
-    used = parse(text)
-    eval_dual(used, 1.5)
-    fresh = parse(text)
-    assert used == fresh
-    assert hash(used) == hash(fresh)
-    assert repr(used) == repr(fresh)
-    assert str(used) == str(fresh)
-
-
-def test_evaluated_expression_pickles_and_copies_as_its_tree():
-    expr = parse("x * exp(-x^2) / cbrt(x + 3)")
-    want = eval_dual(expr, 0.7)
-    for clone in (pickle.loads(pickle.dumps(expr)), copy.deepcopy(expr), copy.copy(expr)):
-        assert clone == expr
-        assert eval_dual(clone, 0.7) == want
-
-
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-def test_non_finite_number_raises_on_every_call(value):
-    expr = Expression(Number(value))
-    for _ in range(3):
-        with pytest.raises(DomainError) as info:
-            eval_dual(expr, 1.0)
-        assert info.value.kind == "number"
-        assert _bits(info.value.arg) == _bits(value)
 
 
 if __name__ == "__main__":

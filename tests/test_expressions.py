@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import struct
 import subprocess
 import sys
@@ -468,3 +470,47 @@ _EDGE_CASES = [
 )
 def test_specialized_rules_match_generic_rules_at_edges(expr):
     _assert_matches_reference(expr, X_POINTS)
+
+
+# --- the compiled form cached on each Expression ---------------------------
+
+
+def test_expression_compiles_once_on_first_evaluation():
+    expr = parse("sin(x) * exp(x) + ln(x^2 + 1) - x^x / cbrt(x)")
+    assert "_compiled" not in vars(expr)  # parsing compiles nothing
+    first = eval_dual(expr, 0.37)
+    chain = vars(expr)["_compiled"]
+    second = eval_dual(expr, 0.37)
+    assert vars(expr)["_compiled"] is chain
+    assert first == second
+    assert _hex(first.value) == _hex(second.value)
+    assert _hex(first.deriv) == _hex(second.deriv)
+
+
+def test_cached_expression_still_equals_a_fresh_parse():
+    text = "(x - 2) * (x + 2)^4 + atan(x)"
+    used = parse(text)
+    eval_dual(used, 1.5)
+    fresh = parse(text)
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    assert str(used) == str(fresh)
+
+
+def test_evaluated_expression_pickles_and_copies_as_its_tree():
+    expr = parse("x * exp(-x^2) / cbrt(x + 3)")
+    want = eval_dual(expr, 0.7)
+    for clone in (pickle.loads(pickle.dumps(expr)), copy.deepcopy(expr), copy.copy(expr)):
+        assert clone == expr
+        assert eval_dual(clone, 0.7) == want
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_number_raises_on_every_call(value):
+    expr = Expression(Number(value))
+    for _ in range(3):
+        with pytest.raises(DomainError) as info:
+            eval_dual(expr, 1.0)
+        assert info.value.kind == "number"
+        assert _hex(info.value.arg) == _hex(value)

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import twopoint
 
 
@@ -35,3 +37,13 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+@pytest.mark.parametrize("pin_file", ["test_cli_bytes", "test_corpus_bits", "test_eval_pins", "test_parse_pins"])
+def test_pin_file_imports_without_pytest_or_hypothesis(pin_file):
+    # run as a script, each pin file checks its data where neither is installed
+    src = str(Path(twopoint.__file__).resolve().parents[1])
+    path = os.pathsep.join((src, str(Path(__file__).parent), os.environ.get("PYTHONPATH", "")))
+    code = f"import sys; sys.modules['pytest'] = sys.modules['hypothesis'] = None; import {pin_file}"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

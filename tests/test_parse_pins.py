@@ -24,13 +24,12 @@ to make a change pass.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import random
 import sys
 from pathlib import Path
-
-import pytest
 
 from twopoint.expressions import FUNCTIONS, BinOp, Call, Constant, Neg, Number, ParseError, Variable, parse
 
@@ -106,6 +105,7 @@ def mutate(rng: random.Random, text: str) -> str:
     return "".join(chars)
 
 
+@functools.cache
 def inputs() -> list[str]:
     rng = random.Random(RANDOM_SEED)
     texts = [random_text(rng) for _ in range(COUNT)]
@@ -160,20 +160,16 @@ def block_digests(texts: list[str]) -> list[str]:
     return digests
 
 
-@pytest.fixture(scope="module")
-def texts() -> list[str]:
-    return inputs()
-
-
-def test_inputs_mix_trees_and_errors(texts):
+def test_inputs_mix_trees_and_errors():
+    texts = inputs()
     parsed = sum(outcome(text).startswith("tree") for text in texts)
     assert len(texts) == 2 * COUNT
     assert 0.2 * len(texts) < parsed < 0.8 * len(texts)
 
 
-def test_every_block_of_trees_and_errors_is_unchanged(texts):
+def test_every_block_of_trees_and_errors_is_unchanged():
     want = json.loads(DATA.read_text())["blocks"]
-    got = block_digests(texts)
+    got = block_digests(inputs())
     assert len(got) == len(want) == 2 * COUNT // BLOCK
     for i, (g, w) in enumerate(zip(got, want)):
         assert g == w, f"inputs {i * BLOCK} to {(i + 1) * BLOCK - 1}"
