@@ -164,9 +164,7 @@ def trace_rows(trace: Trace, reference_root: float | None) -> list[tuple]:
     return rows
 
 
-def _comparison(outcome, iterations: int, expected: corpus.ExpectedResult | None) -> str:
-    if expected is None:
-        return ""
+def _comparison(outcome, iterations: int, expected: corpus.ExpectedResult) -> str:
     if outcome.label != expected.label:
         return "mismatch"
     delta = 0 if expected.count is None else iterations - expected.count
@@ -251,7 +249,7 @@ def bench_rows(tables: Sequence[int]) -> list[tuple]:
                 for method in corpus.TABLE_METHODS:
                     trace = solve(prob.expression, method, start)
                     outcome, iterations, final_x = trace.outcome, trace.iterations, _blank(trace.records[-1].x)
-                    comparison = _comparison(outcome, iterations, prob.expected.get((method, start)))
+                    comparison = _comparison(outcome, iterations, prob.expected[(method, start)])
                     rows.append((prob.name, start, method.value, outcome.label, iterations, final_x, comparison))
     return rows
 

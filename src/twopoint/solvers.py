@@ -275,7 +275,7 @@ def classify(
     # NaN fails every comparison, so this also catches a NaN or infinite x
     if not abs(x) <= DIVERGENCE_BOUND:
         return Diverged(x)
-    if rec.dy == 0.0 and y != 0.0 and method is Method.NEWTON:
+    if rec.dy == 0.0 and method is Method.NEWTON:
         return DerivativeStall(_steps(k, method) + 1)
     if k >= CYCLE_MIN_ITERS:
         osc = _oscillation(records)

@@ -357,6 +357,12 @@ def test_delta_too_small_to_move_x0_is_a_seeding_error(capsys):
     assert out == ""
 
 
+def test_delta_that_overflows_the_seed_is_a_seeding_error(capsys):
+    # x0 + 1e308 * 10 is inf, which the seed rule rejects as out of domain
+    code, out, err = run_cli(capsys, "solve", "--expr", "x", "--method", "secant", "--x0", "10", "--delta", "1e308")
+    assert (code, out, err) == (2, "", "error: no in-domain second point near x0=10.0\n")
+
+
 def test_explicit_x1_flag(capsys):
     code, out, _ = run_cli(
         capsys,

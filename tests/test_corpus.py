@@ -181,6 +181,24 @@ def test_load_rejects_integer_too_long_to_convert(tmp_path):
     assert str(info.value).startswith("not valid JSON: Exceeds the limit (4300")
 
 
+@pytest.mark.parametrize(
+    ("data", "want"),
+    [
+        ([1], "entry 0: expected an object, got int"),
+        (
+            [{"name": "t", "expr": "x", "starts": [1], "expected": [1]}],
+            "entry 0, field 'expected': must be an object keyed 'method@start'",
+        ),
+    ],
+)
+def test_load_names_an_entry_of_the_wrong_type(tmp_path, data, want):
+    path = tmp_path / "problems.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ProblemFileError) as info:
+        load_problems(path)
+    assert str(info.value) == want
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_problems(tmp_path / "absent.json")

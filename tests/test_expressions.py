@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import random
 import struct
 import subprocess
 import sys
@@ -132,6 +133,13 @@ def test_consumed_infinite_derivative_is_domain_error():
     # cbrt(x)^2 at 0 would produce a 0 * inf derivative
     with pytest.raises(DomainError):
         eval_dual(parse("cbrt(x)^2"), 0.0)
+
+
+def test_overflowed_denominator_of_an_infinite_derivative_is_domain_error():
+    # sqrt at 0 hands log10 an infinite derivative, and uv * ln(10) overflows
+    with pytest.raises(DomainError) as info:
+        eval_dual(parse("log10(1e308 + sqrt(x))"), 0.0)
+    assert (info.value.kind, info.value.arg) == ("log10", 1e308)
 
 
 def test_negative_base_integer_power_is_fine():
@@ -514,3 +522,66 @@ def test_non_finite_number_raises_on_every_call(value):
             eval_dual(expr, 1.0)
         assert info.value.kind == "number"
         assert _hex(info.value.arg) == _hex(value)
+
+
+# --- the invariant each rule keeps and relies on -----------------------------
+
+
+_MAX = sys.float_info.max
+
+
+def _rule_arguments() -> list[float]:
+    """Finite floats where the rules' arithmetic meets its limits, both signs:
+    zero, the subnormals and the largest float, powers of two across the
+    range, exp's overflow and underflow edges, the doubles next to k*pi/2,
+    the double closest to a multiple of pi/2 of all, where |cos| is about
+    4.7e-19, and random bit patterns."""
+    args = [0.0, 1.0, 1.0000000000000002, 1e154, 1.5e-154, 709.78, 709.79, 745.1, 745.2]
+    args += [5e-324, sys.float_info.min, _MAX, 6381956970095103 * 2.0**797]
+    args += [2.0**e for e in range(-1074, 1024, 37)]
+    for k in range(1, 41):
+        x = k * math.pi / 2
+        args += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+    rng = random.Random(18)
+    while len(args) < 500:
+        (v,) = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))
+        if math.isfinite(v):
+            args.append(abs(v))
+    return args + [-v for v in args]
+
+
+_RULE_DERIVS = (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e300, -1e300, _MAX, -_MAX, math.inf, -math.inf)
+# right operands for the BinOp rules, among them ^'s constant (derivative 0)
+# and variable exponents
+_RULE_RIGHT_VALUES = (0.0, 1.0, 2.0, 3.0, -1.0, 0.5, -0.5, 1 / 3, 1e300, -1e300, 5e-324, 1024.0)
+_RULE_RIGHT_DERIVS = (0.0, 1.0, -1.0, 5e-324, 1e300, math.inf, -math.inf)
+
+
+def _rule_keeps_invariant(rule, bound) -> bool:
+    """True when the rule returns a finite value and a derivative that is not
+    NaN, or raises DomainError."""
+    try:
+        v, d = rule(bound, 0.0)
+    except DomainError:
+        return True
+    return math.isfinite(v) and d == d
+
+
+def test_every_rule_returns_a_finite_value_and_a_derivative_that_is_not_nan():
+    # the rules test only for the failures their own arithmetic can produce;
+    # this holds only while every rule hands the next a finite value whose
+    # derivative is not NaN, as eval_dual's x and the constants are
+    args = _rule_arguments()
+    operands = [MethodType(_dual_constant, (v, d)) for v in args for d in _RULE_DERIVS]
+    for name, rule in _CALL_RULES.items():
+        bad = [operand(0.0) for operand in operands if not _rule_keeps_invariant(rule, operand)]
+        assert not bad, (name, bad[:5])
+    rights = [MethodType(_dual_constant, (v, d)) for v in _RULE_RIGHT_VALUES for d in _RULE_RIGHT_DERIVS]
+    for op, rule in _BINOP_RULES.items():
+        bad = [
+            (left(0.0), right(0.0))
+            for left in operands[::9]
+            for right in rights
+            if not _rule_keeps_invariant(rule, (left, right, 0.0, 0.0))
+        ]
+        assert not bad, (op, bad[:5])

@@ -1,7 +1,9 @@
 """Roots and orders checked against mpmath, an independent arbitrary-precision oracle.
 
-Each built-in problem is evaluated by mpmath from its rendered text, and
-``mpmath.findroot`` refines the problem's reference root to 40 digits.
+Each built-in problem is evaluated by mpmath from its source text, not
+from anything the parser built, and ``mpmath.findroot`` refines the
+problem's reference root to 40 digits.  ``eval_dual``'s values and
+derivatives are checked against mpmath's at 50 digits.
 The convergence order of each method is measured by replaying its step
 formula in 150-digit arithmetic, where round-off does not cut the error
 sequence short.
@@ -14,8 +16,10 @@ import pytest
 
 mpmath = pytest.importorskip("mpmath")
 
+from conftest import SAMPLE_WINDOWS  # noqa: E402
+
 from twopoint import corpus  # noqa: E402
-from twopoint.expressions import eval_dual, render  # noqa: E402
+from twopoint.expressions import DomainError, eval_dual  # noqa: E402
 from twopoint.analysis import ck_sequence, error_sequence  # noqa: E402
 from twopoint.solvers import Converged, Method, solve  # noqa: E402
 
@@ -47,9 +51,9 @@ _PROBLEMS = [p for p in corpus.builtin_problems() if p.reference_root is not Non
 
 def _mp_function(problem):
     """The problem's function evaluated by mpmath at the working precision."""
-    # rendered text is Python syntax once ^ is **; both bind right to left
-    # and tighter than unary minus
-    return eval("lambda x: " + render(problem.expression).replace("^", "**"), dict(_MP_NAMES))
+    # source text is Python syntax once ^ is **; both bind right to left and
+    # tighter than unary minus
+    return eval("lambda x: " + problem.source.replace("^", "**"), dict(_MP_NAMES))
 
 
 def _true_root(problem) -> float:
@@ -82,6 +86,44 @@ def test_reference_root_error(problem):
     # reported (pytest -rP shows it), not pinned: x - 3 * ln(x) is off by 4.7e-15
     print(f"{problem.name}: reference root {problem.reference_root!r} is off by {error:.2g}")
     assert abs(error) <= REFERENCE_REL * max(1.0, abs(root))
+
+
+# --- values and derivatives against mpmath -----------------------------------
+
+EVAL_DIGITS = 50
+EVAL_POINTS = 41
+# eval_dual's value and derivative lie this close to mpmath's, relative to
+# max(1, |mpmath's|); the worst measured error is 1.6e-14
+EVAL_REL = 1e-12
+_BY_SOURCE = {p.source: p for p in _PROBLEMS}
+
+
+@pytest.mark.parametrize("source", sorted(_BY_SOURCE))
+def test_eval_dual_matches_mpmath_value_and_derivative(source):
+    """At EVAL_POINTS evenly spaced points of the source's sampling window,
+    skipping a point out of the domain or with an infinite derivative."""
+    problem = _BY_SOURCE[source]
+    f = _mp_function(problem)
+    lo, hi = SAMPLE_WINDOWS[source]
+    worst, checked = 0.0, 0
+    for i in range(EVAL_POINTS):
+        x = lo + (hi - lo) * i / (EVAL_POINTS - 1)
+        try:
+            dual = eval_dual(problem.expression, x)
+        except DomainError:
+            continue
+        if not math.isfinite(dual.deriv):
+            continue
+        with mpmath.workdps(EVAL_DIGITS):
+            want = (f(mpmath.mpf(x)), mpmath.diff(f, mpmath.mpf(x)))
+            for got, exact in zip(dual, want):
+                error = float(abs(got - exact) / max(1, abs(exact)))
+                assert error <= EVAL_REL, (x, got, exact)
+                worst = max(worst, error)
+        checked += 1
+    print(f"{source}: {checked} points, worst relative error {worst:.2g}")
+    # the windows lie in the domain; only cbrt's 0 has an infinite derivative
+    assert checked == EVAL_POINTS - (source == "cbrt(x)")
 
 
 # --- convergence order in high precision -----------------------------------------

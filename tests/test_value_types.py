@@ -139,6 +139,11 @@ def test_outcomes_of_different_kinds_are_unequal_from_both_sides():
     assert Converged(1.0, 3) != (1.0, 3) and (1.0, 3) != Converged(1.0, 3)
 
 
+def test_a_value_missing_a_field_raises_type_error():
+    with pytest.raises(TypeError, match=r"Converged takes the fields \('root', 'iterations'\), got \(1.0,\)"):
+        Converged(1.0)
+
+
 def test_expression_equals_only_an_expression():
     expr = parse("x + 1")
     for other in (Neg(expr.root), (expr.root,)):
