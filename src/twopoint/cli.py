@@ -91,6 +91,12 @@ def _blank(value):
     return None if value != value else value
 
 
+def _json_cell(value):
+    """A cell as JSON output writes it: NaN as None (null), and an infinite
+    number as its CSV text, "inf" or "-inf", since RFC 8259 has no token for it."""
+    return repr(value) if value in (math.inf, -math.inf) else _blank(value)
+
+
 def _write(text: str, out: str | None) -> None:
     """Write ``text`` to the file ``out``, or to stdout when there is none."""
     if not out:
@@ -212,13 +218,13 @@ def _cmd_solve(args) -> int:
             "problem": label,
             "method": trace.method.value,
             "outcome": outcome.label,
-            "root": _blank(outcome.root) if isinstance(outcome, Converged) else None,
+            "root": _json_cell(outcome.root) if isinstance(outcome, Converged) else None,
             "iterations": trace.iterations,
-            "final_x": _blank(trace.records[-1].x),
+            "final_x": _json_cell(trace.records[-1].x),
         }
         if args.verbose:
-            payload["records"] = [dict(zip(TRACE_COLUMNS, row)) for row in trace_rows(trace, root)]
-        print(json.dumps(payload))
+            payload["records"] = [dict(zip(TRACE_COLUMNS, map(_json_cell, row))) for row in trace_rows(trace, root)]
+        print(json.dumps(payload, allow_nan=False))
     elif args.format == "csv":
         _write_csv(TRACE_COLUMNS, trace_rows(trace, root), args.out)
         print(_describe(outcome), file=sys.stderr)
@@ -258,7 +264,8 @@ def _cmd_bench(args) -> int:
     tables = {"1": (1,), "2": (2,), "all": (1, 2)}[args.table]
     rows = bench_rows(tables)
     if args.format == "json":
-        _write(json.dumps([dict(zip(BENCH_COLUMNS, row)) for row in rows], indent=2) + "\n", args.out)
+        cells = [dict(zip(BENCH_COLUMNS, map(_json_cell, row))) for row in rows]
+        _write(json.dumps(cells, indent=2, allow_nan=False) + "\n", args.out)
     else:
         _write_csv(BENCH_COLUMNS, rows, args.out)
     return 0

@@ -188,51 +188,47 @@ class Dual(NamedTuple):
 
 # --- tokenizer --------------------------------------------------------------
 
-# One alternative per token kind, tried at each position in turn, and no
-# groups, so findall returns the matched texts; the last alternative
-# catches any character no token can start with.  Only " \t\r\n" is
-# whitespace, and \d admits every Unicode decimal digit, as float() does.
+# Each match skips " \t\r\n", the only whitespace, and captures one token:
+# a number, a name, an operator or parenthesis, any other one character,
+# or "" at the end of the text.  So findall returns the token texts, the
+# last of them "" (and the one before it too, when the text ends in
+# whitespace), and the parser reads each token's kind from its text.  \d
+# admits every Unicode decimal digit, as float() does.  A token carries no
+# position: _error works positions out from the matches when it raises.
 _TOKEN_RE = re.compile(
-    r"[ \t\r\n]+"
-    r"|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+    r"[ \t\r\n]*"
+    r"((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
     r"|[A-Za-z_][A-Za-z_0-9]*"
     r"|[-+*/^()]"
-    r"|.",
+    r"|.|\Z)",
     re.DOTALL,
 )
 
-# The kind of a token by its first character, "" for whitespace.  A token
-# whose first character is not listed is a number if it is longer than one
-# character or a decimal digit, and otherwise a character no token takes.
-_KIND = {
-    **dict.fromkeys("0123456789", "number"),
-    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "ident"),
-    **dict.fromkeys("+-*/^", "op"),
-    "(": "lparen",
-    ")": "rparen",
-    **dict.fromkeys(" \t\r\n", ""),
-}
+# the first characters of a name
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
-# (kind, text, pos); kind is "number", "ident", "op", "lparen", "rparen" or "end"
-_Tok = tuple[str, str, int]
+# the one-character tokens besides the decimal digits; any other character
+# on its own is one that no token takes
+_ONE_CHAR_TOKENS = _NAME_START | frozenset("+-*/^()")
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    tokens: list[_Tok] = []
-    pos = 0
-    for tok in _TOKEN_RE.findall(text):
-        kind = _KIND.get(tok[0])
-        if kind is None:
-            if len(tok) == 1 and not tok.isdecimal():
-                if tok.isdigit() or tok == ".":
-                    raise ParseError("malformed number", pos, ("digit",))
-                raise ParseError(f"unexpected character {tok!r}", pos)
-            kind = "number"
-        if kind:
-            tokens.append((kind, tok, pos))
-        pos += len(tok)
-    tokens.append(("end", "", len(text)))
-    return tokens
+def _error(text: str, index: int, message: str, expected: tuple[str, ...] = ()) -> ParseError:
+    """The ParseError for ``message`` at the token ``index`` of ``text``.
+
+    A character that no token takes is reported instead, the first such
+    character anywhere in the text, so it comes before any grammar error.
+    A digit that is not decimal (such as "²") or a lone "." is a
+    malformed number.
+    """
+    starts = []
+    for match in _TOKEN_RE.finditer(text):
+        tok, position = match[1], match.start(1)
+        if len(tok) == 1 and tok not in _ONE_CHAR_TOKENS and not tok.isdecimal():
+            if tok.isdigit() or tok == ".":
+                return ParseError("malformed number", position, ("digit",))
+            return ParseError(f"unexpected character {tok!r}", position)
+        starts.append(position)
+    return ParseError(message, starts[index], expected)
 
 
 # --- operator-precedence parser ---------------------------------------------
@@ -248,11 +244,13 @@ _ATOM_EXPECTED = ("number", "'x'", "'pi'", "'e'", "function name", "'('")
 # the leaves a name stands for; the nodes are immutable, so trees share them
 _NAMED_LEAVES: dict[str, Node] = {"x": Variable(), "pi": Constant("pi"), "e": Constant("e")}
 
+_FUNCTION_NAMES = frozenset(FUNCTIONS)
+
 
 def parse(text: str) -> Expression:
     """Parse expression text into the unique tree given by the grammar.
 
-    One loop over the tokens, without recursion, so parentheses nest
+    One loop over the token texts, without recursion, so parentheses nest
     without limit.  It keeps parsed nodes on one stack and pending
     operators on another as (precedence, operator) pairs, with precedence
     from _PREC.  A unary minus is (_NEG, "neg"), and an open "(" or "func("
@@ -261,44 +259,50 @@ def parse(text: str) -> Expression:
     A binary operator first reduces the stacked operators that bind at
     least as tightly; ^ reduces only tighter ones, so it stays
     right-associative and its exponent may begin with a unary minus.
+    The tokens carry no positions; an error works out its position from
+    the text as it is raised, in _error.
     """
-    tokens = _tokenize(text)
+    tokens = _TOKEN_RE.findall(text)
     nodes: list[Node] = []
     ops: list[tuple[int, str]] = []
     i = 0
     while True:
         # expect an operand: unary minuses and openings, then an atom
-        kind, tok, pos = tokens[i]
+        tok = tokens[i]
         i += 1
-        if tok == "-":
-            ops.append((_NEG, "neg"))
-            continue
-        if kind == "lparen":
+        if tok == "(":
             ops.append((0, "("))
             continue
-        if kind == "number":
-            value = float(tok)
-            if not math.isfinite(value):
-                raise ParseError("number literal out of range", pos)
-            nodes.append(Number(value))
-        elif kind != "ident":
-            raise ParseError(f"unexpected {tok!r}" if tok else "unexpected end of input", pos, _ATOM_EXPECTED)
-        elif tok in _NAMED_LEAVES:
-            nodes.append(_NAMED_LEAVES[tok])
-        elif tok not in FUNCTIONS:
-            raise ParseError(f"unknown identifier {tok!r}", pos)
-        elif tokens[i][0] != "lparen":
-            raise ParseError(f"function {tok!r} needs an argument list", tokens[i][2], ("'('",))
-        else:
+        if tok in _FUNCTION_NAMES:
+            if tokens[i] != "(":
+                raise _error(text, i, f"function {tok!r} needs an argument list", ("'('",))
             ops.append((0, tok))
             i += 1
             continue
+        if tok == "-":
+            ops.append((_NEG, "neg"))
+            continue
+        if tok in _NAMED_LEAVES:
+            nodes.append(_NAMED_LEAVES[tok])
+        elif tok[:1] in _NAME_START:
+            raise _error(text, i - 1, f"unknown identifier {tok!r}")
+        else:
+            # float reads every number token; of the others it would read
+            # only the names inf, nan and infinity, taken just above
+            try:
+                value = float(tok)
+            except ValueError:
+                message = f"unexpected {tok!r}" if tok else "unexpected end of input"
+                raise _error(text, i - 1, message, _ATOM_EXPECTED) from None
+            if not math.isfinite(value):
+                raise _error(text, i - 1, "number literal out of range")
+            nodes.append(Number(value))
         # expect an operator; a ")" closes a group and expects another
         while True:
-            kind, tok, pos = tokens[i]
+            tok = tokens[i]
             i += 1
-            # only "op" tokens have the text + - * / or ^
-            bound = _PREC[tok] + (tok == "^") if kind == "op" else 1
+            prec = _PREC.get(tok)
+            bound = 1 if prec is None else prec + (tok == "^")
             while ops and ops[-1][0] >= bound:
                 op = ops.pop()[1]
                 if op == "neg":
@@ -306,15 +310,15 @@ def parse(text: str) -> Expression:
                 else:
                     right = nodes.pop()
                     nodes[-1] = BinOp(op, nodes[-1], right)
-            if kind == "op":
-                ops.append((_PREC[tok], tok))
+            if prec is not None:
+                ops.append((prec, tok))
                 break
             if not ops:
-                if kind == "end":
+                if not tok:
                     return Expression(nodes[0])
-                raise ParseError(f"unexpected {tok!r} after expression", pos)
-            if kind != "rparen":
-                raise ParseError("unbalanced parenthesis", pos, ("')'",))
+                raise _error(text, i - 1, f"unexpected {tok!r} after expression")
+            if tok != ")":
+                raise _error(text, i - 1, "unbalanced parenthesis", ("')'",))
             opened = ops.pop()[1]
             if opened != "(":
                 nodes[-1] = Call(opened, nodes[-1])

@@ -81,17 +81,38 @@ def test_solve_json_verbose_records(capsys):
     assert payload["records"][0]["x"] == 2.0
 
 
-def test_json_writes_an_infinite_weight_as_a_bare_token(capsys):
-    # f' = 0 at x1 gives r = -inf, the paper's zero-derivative case; json
-    # writes it as -Infinity, which strict RFC 8259 parsers reject
+def _strict_json(text: str):
+    """``text`` read as RFC 8259 JSON, which has no Infinity, -Infinity or NaN token."""
+
+    def reject(token):
+        raise ValueError(f"not RFC 8259 JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_writes_an_infinite_weight_as_its_csv_text(capsys):
+    # f' = 0 at x1 gives r = -inf, the paper's zero-derivative case
     code, out, _ = run_cli(
         capsys,
         "solve", "--expr", "x^2 + 1", "--method", "twopoint", "--x0", "1", "--x1", "0",
         "--max-iter", "3", "--format", "json", "--verbose",
     )
     assert code == 2
-    assert '{"k": 1, "x": 0.0, "y": 1.0, "dy": 0.0, "r_weight": -Infinity, "abs_error": null, "ck": null}' in out
-    assert json.loads(out)["records"][1]["r_weight"] == -math.inf
+    assert '{"k": 1, "x": 0.0, "y": 1.0, "dy": 0.0, "r_weight": "-inf", "abs_error": null, "ck": null}' in out
+    assert _strict_json(out)["records"][1]["r_weight"] == "-inf"
+
+
+def test_json_writes_an_overflowed_final_x_as_its_csv_text(capsys):
+    # the Newton step from 0 is 1 / 1e-310, which overflows to inf
+    code, out, _ = run_cli(
+        capsys, "solve", "--expr", "1e-310*x - 1", "--method", "newton", "--x0", "0", "--format", "json"
+    )
+    assert code == 2
+    assert out == (
+        '{"problem": "1e-310*x - 1", "method": "newton", "outcome": "diverged", "root": null, '
+        '"iterations": 1, "final_x": "inf"}\n'
+    )
+    assert _strict_json(out)["final_x"] == "inf"
 
 
 def test_trace_csv_header_and_offshoot(capsys):

@@ -243,6 +243,35 @@ def test_non_ascii_letter_is_unexpected_character(text, position):
     assert info.value.expected == ()
 
 
+@pytest.mark.parametrize("text,position", [("x + ) \u00e9", 6), ("1e400 $", 6), ("sin x \u00e9", 6)])
+def test_a_character_no_token_takes_is_reported_before_any_grammar_error(text, position):
+    # a grammar error or an out-of-range literal comes earlier in each text
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == f"unexpected character {text[position]!r} at position {position}"
+
+
+@pytest.mark.parametrize("text,position", [("\x0b", 0), ("x\x0c", 1), ("\u00a0x", 0), ("x +\u2003x", 3)])
+def test_whitespace_other_than_space_tab_cr_lf_is_an_unexpected_character(text, position):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == f"unexpected character {text[position]!r} at position {position}"
+
+
+@pytest.mark.parametrize("text", ["x +  ", "x +\t\n", "", "  \r\n"])
+def test_end_of_input_is_at_the_length_of_the_text(text):
+    # trailing whitespace goes before the end, not after it
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value).startswith(f"unexpected end of input at position {len(text)} ")
+    assert info.value.position == len(text)
+
+
+def test_whitespace_may_part_a_function_from_its_argument_list():
+    assert parse("sin (x)") == parse("sin(x)") == Expression(Call("sin", Variable()))
+    assert parse(" \tsin\n(\rx ) ") == parse("sin(x)")
+
+
 def test_unicode_decimal_digits_are_numbers():
     # \d and float() both accept any Unicode decimal digit
     assert parse("\u0663.5") == Expression(Number(3.5))

@@ -24,6 +24,7 @@ from twopoint.expressions import (
     Expression,
     Neg,
     Number,
+    ParseError,
     Variable,
     eval_dual,
     parse,
@@ -81,6 +82,32 @@ def _depth_at_most(depth: int):
 @settings(derandomize=True, deadline=None, max_examples=500)
 def test_parse_inverts_render(expr):
     assert parse(render(expr)) == expr
+
+
+# arbitrary Unicode text mixed with pieces of the grammar, so that some
+# texts parse and the rest fail at every kind of error
+_TEXT_PIECES = st.one_of(
+    st.text(max_size=3),
+    st.sampled_from([*"0123456789.eE+-*/^() x", "\t", "\n", "\r", "pi", *FUNCTIONS]),
+    st.sampled_from(["1e400", "inf", "1.5", "2e-3", "\u0663", "\u00b2", "\u00a0", "\x0b", "  "]),
+)
+
+
+@given(st.lists(_TEXT_PIECES, max_size=12).map("".join))
+@settings(derandomize=True, deadline=None, max_examples=1000)
+def test_parse_returns_an_expression_or_an_error_inside_the_text(text):
+    try:
+        expr = parse(text)
+    except ParseError as err:
+        position = err.position
+        assert 0 <= position <= len(text)
+        message = str(err)
+        if message.startswith("unexpected character "):
+            assert message == f"unexpected character {text[position]!r} at position {position}"
+        if message.startswith("unexpected end of input "):
+            assert position == len(text)
+    else:
+        assert isinstance(expr, Expression)
 
 
 @given(_depth_at_most(4).map(Expression), st.floats(min_value=-1e6, max_value=1e6))
