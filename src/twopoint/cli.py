@@ -23,6 +23,7 @@ from .solvers import (
     DerivativeStall,
     Diverged,
     DomainFailure,
+    IterationRecord,
     Method,
     Oscillating,
     Seed,
@@ -32,7 +33,7 @@ from .solvers import (
     solve,
 )
 
-TRACE_COLUMNS = ("k", "x", "y", "dy", "r_weight", "abs_error", "ck")
+TRACE_COLUMNS = IterationRecord._fields + ("abs_error", "ck")
 BENCH_COLUMNS = ("problem", "start", "method", "outcome", "iterations", "final_x", "comparison")
 
 
@@ -81,20 +82,13 @@ def _abbreviates(word: str, options) -> bool:
 
 def _num(value: float) -> str:
     """Shortest round-trip text; blank for NaN."""
-    if math.isnan(value):
-        return ""
-    return repr(value)
-
-
-def _blank(value):
-    """None for NaN, which csv writes as an empty cell and json as null."""
-    return None if value != value else value
+    return "" if value != value else repr(value)
 
 
 def _json_cell(value):
-    """A cell as JSON output writes it: NaN as None (null), and an infinite
+    """A cell as JSON output writes it: NaN, the blank, as None (null), and an infinite
     number as its CSV text, "inf" or "-inf", since RFC 8259 has no token for it."""
-    return repr(value) if value in (math.inf, -math.inf) else _blank(value)
+    return None if value != value else repr(value) if value in (math.inf, -math.inf) else value
 
 
 def _write(text: str, out: str | None) -> None:
@@ -112,13 +106,13 @@ def _write(text: str, out: str | None) -> None:
 def _write_csv(columns: Sequence[str], rows: list[tuple], out: str | None) -> None:
     """A header and one line per row, as ``csv.writer`` writes them with LF line ends.
 
-    A number writes as its repr and None as an empty cell; text is quoted,
-    with its quotes doubled, only when it holds a comma, a quote, CR or LF
-    (csv quotes CR only from Python 3.13 on).
+    NaN marks a blank, an empty cell, and any other number writes as its repr;
+    text is quoted, with its quotes doubled, only when it holds a comma, a
+    quote, CR or LF (csv quotes CR only from Python 3.13 on).
     """
     lines = [",".join([_csv_text(name) for name in columns])]
     for row in rows:
-        lines.append(",".join(["" if v is None else _csv_text(v) if isinstance(v, str) else repr(v) for v in row]))
+        lines.append(",".join(["" if v != v else _csv_text(v) if isinstance(v, str) else repr(v) for v in row]))
     _write("\n".join(lines) + "\n", out)
 
 
@@ -143,31 +137,16 @@ def _describe(outcome) -> str:
 
 
 def trace_rows(trace: Trace, reference_root: float | None) -> list[tuple]:
-    """Per-iteration cells in TRACE_COLUMNS order; None marks a blank."""
-    abs_errors = ck = (None,) * len(trace.records)
+    """Per-iteration cells in TRACE_COLUMNS order, a record and its abs_error and ck; NaN marks a blank."""
+    abs_errors = ck = (math.nan,) * len(trace.records)
     if reference_root is not None:
         sequence = analysis.error_sequence(trace, reference_root)
         abs_errors = [abs(e) for e in sequence.errors]
         if len(abs_errors) >= 2:
             # ck is NaN where the validity filter rejected a pair; the last
             # record starts no pair
-            ck = analysis.ck_sequence(sequence).ck + (None,)
-    rows = []
-    for rec, e, c in zip(trace.records, abs_errors, ck):
-        x, y, dy, r = rec.x, rec.y, rec.dy, rec.r_weight
-        # NaN is the one value unequal to itself; it blanks as _blank does
-        rows.append(
-            (
-                rec.k,
-                x if x == x else None,
-                y if y == y else None,
-                dy if dy == dy else None,
-                r if r == r else None,
-                e if e == e else None,
-                c if c == c else None,
-            )
-        )
-    return rows
+            ck = analysis.ck_sequence(sequence).ck + (math.nan,)
+    return [rec + (e, c) for rec, e, c in zip(trace.records, abs_errors, ck)]
 
 
 def _comparison(outcome, iterations: int, expected: corpus.ExpectedResult) -> str:
@@ -246,7 +225,7 @@ def _cmd_solve(args) -> int:
 
 
 def bench_rows(tables: Sequence[int]) -> list[tuple]:
-    """One BENCH_COLUMNS row per (problem, start, method), in table order; None marks a blank."""
+    """One BENCH_COLUMNS row per (problem, start, method), in table order; NaN marks a blank."""
     rows = []
     for table in tables:
         problems = corpus.table1_problems() if table == 1 else corpus.table2_problems()
@@ -254,7 +233,7 @@ def bench_rows(tables: Sequence[int]) -> list[tuple]:
             for start in prob.starts:
                 for method in corpus.TABLE_METHODS:
                     trace = solve(prob.expression, method, start)
-                    outcome, iterations, final_x = trace.outcome, trace.iterations, _blank(trace.records[-1].x)
+                    outcome, iterations, final_x = trace.outcome, trace.iterations, trace.records[-1].x
                     comparison = _comparison(outcome, iterations, prob.expected[(method, start)])
                     rows.append((prob.name, start, method.value, outcome.label, iterations, final_x, comparison))
     return rows

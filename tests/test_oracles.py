@@ -176,13 +176,38 @@ def _replay(f, method: Method, seeds: list) -> list:
     return xs
 
 
+def _in_regime_errors(xs: list, root) -> list[tuple]:
+    """Each three consecutive signed errors whose sizes all lie in (HP_FLOOR, HP_CEILING)."""
+    errors = [x - root for x in xs]
+    return [t for t in zip(errors, errors[1:], errors[2:]) if all(HP_FLOOR < abs(e) < HP_CEILING for e in t)]
+
+
 def _in_regime_cocs(xs: list, root) -> list[float]:
-    errors = [abs(x - root) for x in xs]
-    cocs = []
-    for e0, e1, e2 in zip(errors, errors[1:], errors[2:]):
-        if all(HP_FLOOR < e < HP_CEILING for e in (e0, e1, e2)):
-            cocs.append(float(mpmath.log(e2 / e1) / mpmath.log(e1 / e0)))
-    return cocs
+    return [float(mpmath.log(abs(e2 / e1)) / mpmath.log(abs(e1 / e0))) for e0, e1, e2 in _in_regime_errors(xs, root)]
+
+
+def _hp_cells(method: Method):
+    """(cell, float run, float root, mpmath function) for every cell whose float
+    run of ``method`` converges to a simple reference root, HP_EXCLUDED ones too."""
+    for problem in _PROBLEMS:
+        root = _true_root(problem)
+        if not _is_simple(problem, root):
+            continue
+        f = _mp_function(problem)
+        for start in problem.starts:
+            trace = solve(problem.expression, method, start)
+            outcome = trace.outcome
+            if not isinstance(outcome, Converged) or abs(outcome.root - root) > SAME_ROOT_REL * max(1.0, abs(root)):
+                continue
+            yield (problem.name, start, method), trace, root, f
+
+
+def _hp_replay(f, method: Method, trace, root) -> tuple[list, object]:
+    """The float run's iterates replayed at the working precision from its
+    seed points, and the root refined at that precision."""
+    hp_root = mpmath.findroot(f, mpmath.mpf(root))
+    seeds = [mpmath.mpf(rec.x) for rec in trace.records[: len(trace.records) - trace.iterations]]
+    return _replay(f, method, seeds), hp_root
 
 
 @pytest.mark.parametrize("method", corpus.TABLE_METHODS, ids=[m.value for m in corpus.TABLE_METHODS])
@@ -195,31 +220,70 @@ def test_high_precision_order_matches_theory(method):
     """
     order = THEORETICAL_ORDER[method]
     cells, wrong = [], []
-    for problem in _PROBLEMS:
-        root = _true_root(problem)
-        if not _is_simple(problem, root):
+    for cell, trace, root, f in _hp_cells(method):
+        cells.append(cell)
+        if cell in HP_EXCLUDED:
             continue
-        f = _mp_function(problem)
-        for start in problem.starts:
-            trace = solve(problem.expression, method, start)
-            outcome = trace.outcome
-            if not isinstance(outcome, Converged) or abs(outcome.root - root) > SAME_ROOT_REL * max(1.0, abs(root)):
-                continue
-            cell = (problem.name, start, method)
-            cells.append(cell)
-            if cell in HP_EXCLUDED:
-                continue
-            float_order = ck_sequence(error_sequence(trace, root)).estimated_order
-            with mpmath.workdps(HP_DIGITS):
-                hp_root = mpmath.findroot(f, mpmath.mpf(root))
-                seeds = [mpmath.mpf(rec.x) for rec in trace.records[: len(trace.records) - trace.iterations]]
-                xs = _replay(f, method, seeds)
-                cocs = _in_regime_cocs(xs, hp_root)
-                left_basin = abs(xs[-1] - hp_root) > SAME_ROOT_REL * max(1, abs(hp_root))
-            median = statistics.median(cocs) if cocs else math.nan
-            label = f"{problem.name} @ {start!r} {method.value}"
-            print(f"{label}: float {float_order}, {HP_DIGITS}-digit median {median:.4f} over {len(cocs)} COCs")
-            if left_basin or not abs(median - order) <= ORDER_TOL:
-                wrong.append(f"{label}: median {median} over {cocs}, left basin: {left_basin}")
+        float_order = ck_sequence(error_sequence(trace, root)).estimated_order
+        with mpmath.workdps(HP_DIGITS):
+            xs, hp_root = _hp_replay(f, method, trace, root)
+            cocs = _in_regime_cocs(xs, hp_root)
+            left_basin = abs(xs[-1] - hp_root) > SAME_ROOT_REL * max(1, abs(hp_root))
+        median = statistics.median(cocs) if cocs else math.nan
+        label = f"{cell[0]} @ {cell[1]!r} {method.value}"
+        print(f"{label}: float {float_order}, {HP_DIGITS}-digit median {median:.4f} over {len(cocs)} COCs")
+        if left_basin or not abs(median - order) <= ORDER_TOL:
+            wrong.append(f"{label}: median {median} over {cocs}, left basin: {left_basin}")
     assert {cell for cell in HP_EXCLUDED if cell[2] is method} <= set(cells)
+    assert not wrong, wrong
+
+
+# the last in-regime ratio lies this close (relative) to the error equation's constant
+CONSTANT_REL = 1e-9
+# where the constant is 0 (c2 = 0 for secant) the ratio lies below this instead
+ZERO_CONSTANT_ABS = 1e-15
+# cells of HP_EXCLUDED whose constant is 0 and is checked here: their order
+# differs from the method's because the leading term of the error vanishes
+HP_ZERO_CONSTANT = {cell for cell in HP_EXCLUDED if cell[2] is Method.SECANT}
+
+
+def _error_constant(method: Method, f, root):
+    """The constant of the method's error equation, from c_j = f^(j)(root) / (j! f'(root)):
+    e_k+1 = (c2^2 - c3) e_k^2 e_k-1 for two-point, c2 e_k^2 for Newton, c2 e_k e_k-1 for secant."""
+    d1, d2, d3 = (mpmath.diff(f, root, j) for j in (1, 2, 3))
+    c2, c3 = d2 / (2 * d1), d3 / (6 * d1)
+    return c2**2 - c3 if method is Method.TWO_POINT else c2
+
+
+def _error_ratio(method: Method, e0, e1, e2):
+    """The ratio of e2 to the right-hand side of the method's error equation without its constant."""
+    if method is Method.TWO_POINT:
+        return e2 / (e1**2 * e0)
+    return e2 / e1**2 if method is Method.NEWTON else e2 / (e1 * e0)
+
+
+@pytest.mark.parametrize("method", corpus.TABLE_METHODS, ids=[m.value for m in corpus.TABLE_METHODS])
+def test_high_precision_error_constant_matches_theory(method):
+    """The last in-regime error ratio of each cell of the order test equals the
+    constant of the method's error equation (Traub 1964), in signed errors.
+
+    The three errors lie in (HP_FLOOR, HP_CEILING), as for the COCs.  Each
+    ratio and constant is printed (pytest -rP).
+    """
+    wrong = []
+    for cell, trace, root, f in _hp_cells(method):
+        if cell in HP_EXCLUDED and cell not in HP_ZERO_CONSTANT:
+            continue
+        with mpmath.workdps(HP_DIGITS):
+            xs, hp_root = _hp_replay(f, method, trace, root)
+            ratio = _error_ratio(method, *_in_regime_errors(xs, hp_root)[-1])
+            constant = _error_constant(method, f, hp_root)
+            if cell in HP_ZERO_CONSTANT:
+                ok = max(abs(ratio), abs(constant)) < ZERO_CONSTANT_ABS
+            else:
+                ok = abs(ratio - constant) <= CONSTANT_REL * abs(constant)
+        label = f"{cell[0]} @ {cell[1]!r} {method.value}"
+        print(f"{label}: ratio {mpmath.nstr(ratio, 12)}, constant {mpmath.nstr(constant, 12)}")
+        if not ok:
+            wrong.append(f"{label}: ratio {ratio}, constant {constant}")
     assert not wrong, wrong

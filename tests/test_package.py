@@ -47,3 +47,31 @@ def test_pin_file_imports_without_pytest_or_hypothesis(pin_file):
     code = f"import sys; sys.modules['pytest'] = sys.modules['hypothesis'] = None; import {pin_file}"
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+_FAILING_PROPERTY = """\
+from hypothesis import given, settings, strategies as st
+
+
+@settings(derandomize=True, database=None)
+@given(st.integers())
+def test_fails(n):
+    assert n < 10
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_property_reports_its_example_under_the_repo_config(tmp_path):
+    # filterwarnings = ["error"] must leave hypothesis's report hook working: a
+    # warning raised there stops the session with INTERNALERROR and no example
+    pytest.importorskip("hypothesis")
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    (tmp_path / "test_property.py").write_text(_FAILING_PROPERTY)
+    argv = [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path), "-p", "no:cacheprovider"]
+    proc = subprocess.run(argv + ["test_property.py"], cwd=tmp_path, capture_output=True, text=True)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "Falsifying example" in proc.stdout
+    assert "1 failed, 1 passed" in proc.stdout

@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import pytest
 from conftest import step_numbering_holds
@@ -354,6 +355,37 @@ def test_twopoint_r_weight_bookkeeping():
     assert math.isnan(rs[0])  # no step leaves the first seed pairlessly
     assert all(math.isfinite(r) for r in rs[1:-1])
     assert math.isnan(rs[-1])  # no step taken from the final record
+
+
+def _bisect(g, lo: float, hi: float) -> float:
+    """The root of the increasing function ``g`` in [lo, hi], to the last bit."""
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return mid
+        lo, hi = (mid, hi) if g(mid) < 0 else (lo, mid)
+
+
+# the linear rate |e_k+1| / |e_k| of each method at a root of multiplicity 4:
+# two-point's rho solves (1 + rho)(1 + rho + rho^2 + rho^3) = 4, the fixed point
+# r = 1 / (1 + rho) of its weight; Newton's is (m - 1) / m; secant's rho solves
+# rho^4 + rho^3 = 1
+MULTIPLICITY_4_RATE = {
+    Method.TWO_POINT: _bisect(lambda r: (1 + r) * (1 + r + r**2 + r**3) - 4, 0.0, 1.0),
+    Method.NEWTON: 3 / 4,
+    Method.SECANT: _bisect(lambda r: r**4 + r**3 - 1, 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("method", list(MULTIPLICITY_4_RATE), ids=[m.value for m in MULTIPLICITY_4_RATE])
+def test_rate_at_a_quadruple_root_matches_theory(method):
+    # the median ratio over the linear regime, where both errors lie in (1e-6, 1e-1)
+    trace = solve(parse("(x - 2) * (x + 2)^4"), method, -3.0)
+    assert isinstance(trace.outcome, Converged)
+    errors = [abs(rec.x + 2.0) for rec in trace.records]
+    ratios = [e1 / e0 for e0, e1 in zip(errors, errors[1:]) if 1e-6 < e0 < 1e-1 and 1e-6 < e1 < 1e-1]
+    assert len(ratios) >= 20
+    assert abs(statistics.median(ratios) - MULTIPLICITY_4_RATE[method]) < 1e-3, ratios
 
 
 # --- classify -------------------------------------------------------------------
