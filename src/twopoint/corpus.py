@@ -19,9 +19,6 @@ from .solvers import Converged, Diverged, DomainFailure, Method, Oscillating
 
 __all__ = [
     "ExpectedResult",
-    "DIVERGES",
-    "FAILS",
-    "OSCILLATES",
     "Problem",
     "ProblemFileError",
     "ROOT_BASIN_MISMATCH",
@@ -42,11 +39,6 @@ class ExpectedResult(NamedTuple):
 
     label: str  # an Outcome.label
     count: int | None = None
-
-
-OSCILLATES = ExpectedResult(Oscillating.label)
-DIVERGES = ExpectedResult(Diverged.label)
-FAILS = ExpectedResult(DomainFailure.label)
 
 
 def iteration_count(n: int) -> ExpectedResult:
@@ -78,7 +70,11 @@ ROOT_BASIN_MISMATCH = frozenset({("(x - 2) * (x + 2)^4", 1.4)})
 
 # the paper's words for a failed run, as written in its tables and in
 # problem files
-_CELLS = {"oscillates": OSCILLATES, "diverges": DIVERGES, "fails": FAILS}
+_CELLS = {
+    "oscillates": ExpectedResult(Oscillating.label),
+    "diverges": ExpectedResult(Diverged.label),
+    "fails": ExpectedResult(DomainFailure.label),
+}
 
 # the methods of a table row, in the paper's column order
 TABLE_METHODS = (Method.SECANT, Method.NEWTON, Method.TWO_POINT)

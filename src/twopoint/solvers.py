@@ -24,7 +24,6 @@ from .expressions import DomainError, Expression, _Frozen, eval_dual
 
 __all__ = [
     "Converged",
-    "DegenerateSlopeError",
     "DerivativeStall",
     "Diverged",
     "DomainFailure",
@@ -33,13 +32,11 @@ __all__ = [
     "Method",
     "Oscillating",
     "Outcome",
-    "PrevPointIsRootError",
     "Seed",
     "SeedingError",
     "SolverConfig",
     "Trace",
     "classify",
-    "ieee_div",
     "newton_step",
     "secant_step",
     "seed_second_point",
@@ -70,6 +67,7 @@ class Method(Enum):
 
 # starting points each method needs before its first step; seeds are not steps
 _SEEDS = {Method.NEWTON: 1, Method.SECANT: 2, Method.TWO_POINT: 2}
+_SECANT = Method.SECANT  # bound once: classify tests it on every record
 
 
 class Seed(Enum):
@@ -173,15 +171,7 @@ class SeedingError(ValueError):
     """The seed rule found no in-domain second point distinct from x0."""
 
 
-class DegenerateSlopeError(ValueError):
-    """Secant slope undefined: equal ordinates or coincident points."""
-
-
-class PrevPointIsRootError(ValueError):
-    """Two-point step needs y_prev != 0."""
-
-
-def ieee_div(num: float, den: float) -> float:
+def _ieee_div(num: float, den: float) -> float:
     """Division with IEEE-754 semantics: finite/0 is signed inf, 0/0 is NaN."""
     try:
         return num / den
@@ -195,12 +185,12 @@ def newton_step(x: float, y: float, dy: float) -> float:
     """x - y/dy; the root is a fixed point, dy = 0 with y != 0 gives +/-inf."""
     if y == 0.0:
         return x
-    return x - ieee_div(y, dy)
+    return x - _ieee_div(y, dy)
 
 
 def secant_step(x_prev: float, y_prev: float, x_cur: float, y_cur: float) -> float:
-    if abs(x_cur - x_prev) < SEP_EPSILON or y_cur == y_prev:
-        raise DegenerateSlopeError(f"secant slope degenerate between x={x_prev!r} and x={x_cur!r}")
+    """The zero of the chord; equal ordinates raise ZeroDivisionError, a case
+    that :func:`classify` stops as a derivative stall before the step."""
     return x_cur - y_cur * (x_cur - x_prev) / (y_cur - y_prev)
 
 
@@ -209,16 +199,15 @@ def twopoint_step(x_prev: float, y_prev: float, x_cur: float, y_cur: float, dy_c
 
     dy_cur may be 0 or infinite: r then lands on +/-inf or 1 and the step
     degenerates gracefully to x_prev or x_cur per the weight identity.
-    x_cur must differ from x_prev; :func:`solve` takes a Newton step
-    instead when they are closer than SEP_EPSILON.
+    x_cur == x_prev, or y_prev == 0 with y_cur != 0, raises ZeroDivisionError:
+    :func:`solve` takes a Newton step instead when the points are closer than
+    SEP_EPSILON, and :func:`classify` converges on a zero y_prev first.
     """
-    if y_prev == 0.0:
-        raise PrevPointIsRootError(f"previous ordinate is zero at x={x_prev!r}")
     if y_cur == 0.0:
         return x_cur, 1.0
     slope = (y_cur - y_prev) / (x_cur - x_prev)
-    r = 1.0 - (y_cur / y_prev) * ieee_div(slope, dy_cur)
-    return x_prev - ieee_div(x_prev - x_cur, r), r
+    r = 1.0 - (y_cur / y_prev) * _ieee_div(slope, dy_cur)
+    return x_prev - _ieee_div(x_prev - x_cur, r), r
 
 
 def _eval_ok(expr: Expression, x: float) -> bool:
@@ -237,7 +226,7 @@ def seed_second_point(expr: Expression, x0: float, config: SolverConfig | None =
     if config.seed is Seed.GUARDED_NEWTON:
         d0 = eval_dual(expr, x0)
         if d0.deriv != 0.0 and math.isfinite(d0.deriv):
-            step = ieee_div(d0.value, d0.deriv)
+            step = _ieee_div(d0.value, d0.deriv)
             t = 1.0
             for _ in range(MAX_HALVINGS):
                 cand = x0 - t * step
@@ -263,8 +252,10 @@ def classify(
 ) -> Outcome | None:
     """Outcome of a partial trace, or None if the iteration should continue.
 
-    Priority: convergence, domain failure, divergence, derivative stall
-    (Newton only), oscillation, iteration budget.
+    Priority: convergence, domain failure, divergence, derivative stall,
+    oscillation, iteration budget.  A derivative stall names the step that
+    cannot be taken: Newton's from f' = 0, or secant's from equal ordinates
+    or from points closer than SEP_EPSILON.
     """
     rec = records[-1]
     k, x, y = rec.k, rec.x, rec.y
@@ -277,6 +268,10 @@ def classify(
         return Diverged(x)
     if rec.dy == 0.0 and method is Method.NEWTON:
         return DerivativeStall(_steps(k, method) + 1)
+    if method is _SECANT and k > 0:
+        prev = records[-2]
+        if y == prev.y or abs(x - prev.x) < SEP_EPSILON:
+            return DerivativeStall(_steps(k, method) + 1)
     if k >= CYCLE_MIN_ITERS:
         osc = _oscillation(records)
         if osc is not None:
@@ -319,14 +314,14 @@ def solve(
 ) -> Trace:
     """Iterate ``method`` from x0 (and x1 for the two-seed methods).
 
-    Terminates as converged when |x_k - x_{k-1}| + |y_k| < tol, otherwise
-    through :func:`classify`, whose thresholds are DIVERGENCE_BOUND and the
-    CYCLE_* constants.  x1 is ignored for Newton and seeded per
-    ``config.seed`` when absent.  A two-point step between points closer
-    than SEP_EPSILON is replaced by a Newton step, and one that returns
-    exactly to x_{k-1} is nudged by ``config.delta_rel``.  A non-finite x0
-    raises ValueError; for the two-seed methods so does a non-finite x1 or
-    x1 == x0, unless x0 is a root.
+    Each point is evaluated and recorded, and the run ends with the first
+    outcome :func:`classify` returns: converged when |x_k - x_{k-1}| + |y_k|
+    < tol, otherwise a failure by its rules and thresholds.  x1 is ignored
+    for Newton and seeded per ``config.seed`` when absent.  A two-point step
+    between points closer than SEP_EPSILON is replaced by a Newton step, and
+    one that returns exactly to x_{k-1} is nudged by ``config.delta_rel``.
+    A non-finite x0 raises ValueError; for the two-seed methods so does a
+    non-finite x1 or x1 == x0, unless x0 is a root.
     """
     config = config or DEFAULT_CONFIG
     newton, secant = method is Method.NEWTON, method is Method.SECANT
@@ -360,11 +355,7 @@ def solve(
             x = newton_step(x, y, dy)
         elif secant:
             prev = records[-2]
-            try:
-                x = secant_step(prev.x, prev.y, x, y)
-            except DegenerateSlopeError:
-                outcome = DerivativeStall(_steps(k, method) + 1)
-                break
+            x = secant_step(prev.x, prev.y, x, y)
         else:
             prev = records[-2]
             if abs(x - prev.x) < SEP_EPSILON:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from twopoint.corpus import (
-    DIVERGES,
+    ExpectedResult,
     ProblemFileError,
     builtin_problems,
     find_problem,
@@ -13,7 +13,7 @@ from twopoint.corpus import (
     table2_problems,
 )
 from twopoint.expressions import eval_dual, parse
-from twopoint.solvers import Method
+from twopoint.solvers import Diverged, Method
 
 
 def test_reference_roots_are_transcribed_correctly():
@@ -47,9 +47,9 @@ def test_expected_cells():
     log_mix = find_problem("x - 3 * ln(x)")
     assert log_mix.expected[(Method.TWO_POINT, 2.0)] == iteration_count(4)
     cube = find_problem("cbrt(x)")
-    assert cube.expected[(Method.NEWTON, 1.0)] == DIVERGES
+    assert cube.expected[(Method.NEWTON, 1.0)] == ExpectedResult(Diverged.label)
     arctan = find_problem("atan(x)")
-    assert arctan.expected[(Method.SECANT, 3.0)] == DIVERGES
+    assert arctan.expected[(Method.SECANT, 3.0)] == ExpectedResult(Diverged.label)
 
 
 def test_find_problem_unknown():
