@@ -68,7 +68,7 @@ def error_sequence(trace: Trace, reference_root: float) -> ErrorSequence:
     """
     if not math.isfinite(reference_root):
         raise ValueError("reference root must be finite")
-    errors = tuple(rec.x - reference_root for rec in trace.records)
+    errors = tuple([rec.x - reference_root for rec in trace.records])
     return ErrorSequence(reference_root, errors, len(trace.records) - trace.iterations)
 
 

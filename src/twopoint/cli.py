@@ -57,10 +57,16 @@ class _ArgumentParser(argparse.ArgumentParser):
             choices = ", ".join(map(repr, action.choices))
             raise argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from {choices})")
 
+    @functools.cached_property
+    def _valued(self) -> list[str]:
+        # the options that take one value; _make_parser builds each parser once,
+        # with all its options, before its first parse
+        return [s for s, action in self._option_string_actions.items() if action.nargs is None]
+
     # main hands the words after a command's name to its parser alone, so this runs once
     def parse_known_args(self, args=None, namespace=None):
         args = list(sys.argv[1:] if args is None else args)
-        valued = [s for s, action in self._option_string_actions.items() if action.nargs is None]
+        valued = self._valued
         for i in range(len(args) - 1, -1, -1):
             name, _, value = args[i].partition("=")
             following = args[i + 1] if i + 1 < len(args) else ""
@@ -112,7 +118,7 @@ def _write_csv(columns: Sequence[str], rows: list[tuple], out: str | None) -> No
     """
     lines = [",".join([_csv_text(name) for name in columns])]
     for row in rows:
-        lines.append(",".join(["" if v != v else _csv_text(v) if isinstance(v, str) else repr(v) for v in row]))
+        lines.append(",".join(["" if v != v else repr(v) if type(v) is not str else _csv_text(v) for v in row]))
     _write("\n".join(lines) + "\n", out)
 
 
@@ -141,7 +147,7 @@ def trace_rows(trace: Trace, reference_root: float | None) -> list[tuple]:
     abs_errors = ck = (math.nan,) * len(trace.records)
     if reference_root is not None:
         sequence = analysis.error_sequence(trace, reference_root)
-        abs_errors = [abs(e) for e in sequence.errors]
+        abs_errors = list(map(abs, sequence.errors))
         if len(abs_errors) >= 2:
             # ck is NaN where the validity filter rejected a pair; the last
             # record starts no pair

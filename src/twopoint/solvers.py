@@ -16,6 +16,7 @@ failure, derivative stall, or iteration budget exhausted.
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 from typing import NamedTuple, Sequence, Union
@@ -55,6 +56,8 @@ SEP_EPSILON = 1e-300
 CYCLE_PERIOD_MAX = 4
 CYCLE_TOL_REL = 1e-9
 CYCLE_MIN_ITERS = 20
+# the periods classify tries, built once rather than as a range per record
+_PERIODS = tuple(range(2, CYCLE_PERIOD_MAX + 1))
 # Seed.GUARDED_NEWTON halves its seeding step at most this many times
 MAX_HALVINGS = 40
 
@@ -67,7 +70,8 @@ class Method(Enum):
 
 # starting points each method needs before its first step; seeds are not steps
 _SEEDS = {Method.NEWTON: 1, Method.SECANT: 2, Method.TWO_POINT: 2}
-_SECANT = Method.SECANT  # bound once: classify tests it on every record
+# bound once: classify tests them on every record
+_NEWTON, _SECANT = Method.NEWTON, Method.SECANT
 
 
 class Seed(Enum):
@@ -113,6 +117,12 @@ class IterationRecord(NamedTuple):
     y: float
     dy: float  # NaN for secant, which never consumes derivatives
     r_weight: float  # two-point weight of the step taken *from* this record
+
+
+# _new_record((k, x, y, dy, r_weight)) is IterationRecord(k, x, y, dy, r_weight)
+# built by tuple.__new__ alone: it skips the Python-level __new__ that
+# NamedTuple generates, a frame per record.  solve builds every record with it.
+_new_record = functools.partial(tuple.__new__, IterationRecord)
 
 
 class Converged(_Frozen):
@@ -257,51 +267,46 @@ def classify(
     cannot be taken: Newton's from f' = 0, or secant's from equal ordinates
     or from points closer than SEP_EPSILON.
     """
-    rec = records[-1]
-    k, x, y = rec.k, rec.x, rec.y
-    if y == 0.0 or (len(records) > 1 and abs(x - records[-2].x) + abs(y) < config.tol):
+    k, x, y, dy, _ = records[-1]
+    # move = |x_k - x_{k-1}|, read by the tolerance, secant-stall and cycle
+    # rules; a first record has no predecessor, and its NaN move fails them all
+    if k:
+        prev = records[-2]
+        move = abs(x - prev.x)
+    else:
+        prev, move = None, _NAN
+    if y == 0.0 or move + abs(y) < config.tol:
         return Converged(x, _steps(k, method))
     if domain_error is not None:
         return DomainFailure(_steps(k, method) + 1, str(domain_error))
     # NaN fails every comparison, so this also catches a NaN or infinite x
     if not abs(x) <= DIVERGENCE_BOUND:
         return Diverged(x)
-    if rec.dy == 0.0 and method is Method.NEWTON:
+    if dy == 0.0 and method is _NEWTON:
         return DerivativeStall(_steps(k, method) + 1)
-    if method is _SECANT and k > 0:
-        prev = records[-2]
-        if y == prev.y or abs(x - prev.x) < SEP_EPSILON:
-            return DerivativeStall(_steps(k, method) + 1)
+    if method is _SECANT and k and (y == prev.y or move < SEP_EPSILON):
+        return DerivativeStall(_steps(k, method) + 1)
+    # the cycle the last records repeat, if any; k >= CYCLE_MIN_ITERS >
+    # CYCLE_PERIOD_MAX + 1, so every lag below is in range.  A genuine cycle
+    # keeps moving while near-repeating at lag p; requiring a non-shrinking
+    # movement rejects slow (possibly sign-alternating) convergence, whose
+    # lag-p differences also drop below any tolerance.
     if k >= CYCLE_MIN_ITERS:
-        osc = _oscillation(records)
-        if osc is not None:
-            return osc
+        tol = CYCLE_TOL_REL * max(1.0, abs(x))
+        if not move <= tol:
+            x_prev = prev.x
+            for p in _PERIODS:
+                lag = records[-1 - p].x
+                # nearly every record fails this first, cheapest test; so does NaN
+                if not abs(x - lag) <= tol:
+                    continue
+                lag_prev = records[-2 - p].x
+                if move < 0.75 * abs(lag - lag_prev):
+                    continue
+                if abs(x_prev - lag_prev) <= CYCLE_TOL_REL * max(1.0, abs(x_prev)):
+                    return Oscillating(p)
     if steps_exhausted:
         return MaxIterationsExceeded(x)
-    return None
-
-
-def _oscillation(records: Sequence[IterationRecord]) -> Oscillating | None:
-    """The cycle the last records repeat, if any; needs k >= CYCLE_MIN_ITERS."""
-    # k >= CYCLE_MIN_ITERS > CYCLE_PERIOD_MAX + 1, so every lag below is in range
-    x, x_prev = records[-1].x, records[-2].x
-    # A genuine cycle keeps moving while near-repeating at lag p; requiring
-    # a non-shrinking movement rejects slow (possibly sign-alternating)
-    # convergence, whose lag-p differences also drop below any tolerance.
-    move = abs(x - x_prev)
-    tol = CYCLE_TOL_REL * max(1.0, abs(x))
-    if move <= tol:
-        return None
-    for p in range(2, CYCLE_PERIOD_MAX + 1):
-        lag = records[-1 - p].x
-        # nearly every record fails this first, cheapest test; so does NaN
-        if not abs(x - lag) <= tol:
-            continue
-        lag_prev = records[-2 - p].x
-        if move < 0.75 * abs(lag - lag_prev):
-            continue
-        if abs(x_prev - lag_prev) <= CYCLE_TOL_REL * max(1.0, abs(x_prev)):
-            return Oscillating(p)
     return None
 
 
@@ -338,11 +343,12 @@ def solve(
         # overflowed is recorded unevaluated, and classify calls it diverged
         if k < seeds or math.isfinite(x):
             try:
-                d = eval_dual(expr, x)
-                y, dy = d.value, (_NAN if secant else d.deriv)
+                y, dy = eval_dual(expr, x)
             except DomainError as err:
                 error = err
-        records.append(IterationRecord(k, x, y, dy, _NAN))
+            if secant:
+                dy = _NAN
+        records.append(_new_record((k, x, y, dy, _NAN)))
         outcome = classify(records, config, method, domain_error=error, steps_exhausted=k >= last_k)
         if outcome is not None:
             break
@@ -363,7 +369,7 @@ def solve(
                 x = newton_step(x, y, dy)
             else:
                 x_next, r = twopoint_step(prev.x, prev.y, x, y, dy)
-                records[-1] = IterationRecord(k, x, y, dy, r)
+                records[-1] = _new_record((k, x, y, dy, r))
                 x = x_next
             if x == prev.x:
                 # an exact return to x_prev (the dy = 0 limit) would start a

@@ -1,10 +1,10 @@
 """Script mode of the pin files: check the recorded data, or record it anew.
 
-Each pin file (``test_cli_bytes``, ``test_corpus_bits``, ``test_eval_pins``
-and ``test_parse_pins``), run as a script, passes what the program
-computes now to ``check_or_record``.  Without arguments that compares it
-with the data file, prints every key that differs and exits 1 on a
-mismatch; with ``--record`` it overwrites the data file instead.
+Each pin file (``test_cli_bytes``, ``test_corpus_bits``, ``test_eval_pins``,
+``test_grid_bits`` and ``test_parse_pins``), run as a script, passes what
+the program computes now to ``check_or_record``.  Without arguments that
+compares it with the data file, prints every key that differs and exits 1
+on a mismatch; with ``--record`` it overwrites the data file instead.
 Standard library only, so it runs where pytest is not installed.
 """
 

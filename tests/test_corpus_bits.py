@@ -30,7 +30,7 @@ from conftest import SAMPLE_WINDOWS
 
 from twopoint.corpus import builtin_problems
 from twopoint.expressions import DomainError, Expression, eval_dual, parse
-from twopoint.solvers import Method, solve
+from twopoint.solvers import Method, Trace, solve
 
 DATA = Path(__file__).parent / "data" / "corpus_bits.json"
 GRID_STEPS = 64  # each window is sampled at GRID_STEPS + 1 points, ends included
@@ -83,18 +83,23 @@ def _eval_entry(expr: Expression, x: float) -> str:
     return f"{_bits(d.value)} {_bits(d.deriv)}"
 
 
+def trace_entry(trace: Trace) -> str:
+    """'label records digest': the outcome label, the record count and a
+    SHA-256 digest of every record's (k, x, y, dy, r_weight) bits."""
+    digest = hashlib.sha256()
+    for rec in trace.records:
+        digest.update(struct.pack("<q4d", rec.k, rec.x, rec.y, rec.dy, rec.r_weight))
+    return f"{trace.outcome.label} {len(trace.records)} {digest.hexdigest()}"
+
+
 def trace_bits() -> dict[str, str]:
     """'name @ start @ method' -> 'label records digest' for every corpus run."""
     out = {}
     for prob in builtin_problems():
         for start in prob.starts:
             for method in Method:
-                trace = solve(prob.expression, method, start)
-                digest = hashlib.sha256()
-                for rec in trace.records:
-                    digest.update(struct.pack("<q4d", rec.k, rec.x, rec.y, rec.dy, rec.r_weight))
                 key = f"{prob.name} @ {start!r} @ {method.value}"
-                out[key] = f"{trace.outcome.label} {len(trace.records)} {digest.hexdigest()}"
+                out[key] = trace_entry(solve(prob.expression, method, start))
     return out
 
 

@@ -39,7 +39,9 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     assert out == "[]\n"
 
 
-@pytest.mark.parametrize("pin_file", ["test_cli_bytes", "test_corpus_bits", "test_eval_pins", "test_parse_pins"])
+@pytest.mark.parametrize(
+    "pin_file", ["test_cli_bytes", "test_corpus_bits", "test_eval_pins", "test_grid_bits", "test_parse_pins"]
+)
 def test_pin_file_imports_without_pytest_or_hypothesis(pin_file):
     # run as a script, each pin file checks its data where neither is installed
     src = str(Path(twopoint.__file__).resolve().parents[1])

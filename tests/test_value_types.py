@@ -30,6 +30,7 @@ from twopoint.solvers import (
     Seed,
     SolverConfig,
     Trace,
+    solve,
 )
 
 # (instance, a field of it, its repr)
@@ -125,6 +126,25 @@ def test_pickle_and_copy_round_trip(value, field, text):
         if not isinstance(value, Problem):  # a Problem holds a dict, so it has no hash
             assert hash(other) == hash(value)
         assert repr(other) == text
+
+
+@pytest.mark.parametrize("method", list(Method), ids=[m.value for m in Method])
+def test_solve_builds_every_record_as_an_iteration_record(method):
+    # solve builds records with tuple.__new__, past the type's own __new__; each
+    # must still be the type itself, not a plain tuple, with its whole contract
+    trace = solve(parse("x^2 - 2"), method, 1.0)
+    if method is Method.TWO_POINT:
+        # records the two-point step replaced, to hold the weight r
+        assert any(rec.r_weight == rec.r_weight for rec in trace.records)
+    for rec in trace.records:
+        assert type(rec) is IterationRecord
+        assert rec._fields == ("k", "x", "y", "dy", "r_weight")
+        assert rec._asdict() == dict(zip(rec._fields, rec))
+        moved = rec._replace(x=2.5)
+        assert type(moved) is IterationRecord and moved == (rec.k, 2.5) + rec[2:]
+        cells = ", ".join(f"{name}={value!r}" for name, value in zip(rec._fields, rec))
+        assert repr(rec) == f"IterationRecord({cells})"
+        assert rec == IterationRecord(*rec) and hash(rec) == hash(IterationRecord(*rec))
 
 
 def test_outcomes_of_different_kinds_are_unequal_from_both_sides():
