@@ -57,22 +57,24 @@ class _ArgumentParser(argparse.ArgumentParser):
             choices = ", ".join(map(repr, action.choices))
             raise argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from {choices})")
 
-    @functools.cached_property
-    def _valued(self) -> list[str]:
-        # the options that take one value; _make_parser builds each parser once,
-        # with all its options, before its first parse
-        return [s for s, action in self._option_string_actions.items() if action.nargs is None]
-
     # main hands the words after a command's name to its parser alone, so this runs once
     def parse_known_args(self, args=None, namespace=None):
         args = list(sys.argv[1:] if args is None else args)
-        valued = self._valued
+        if args[:1] == ["--"] and len(args) > 1 and self._subparsers:
+            # one leading "--" ends the top-level options, so the next word is the
+            # command even when it begins with "-", as argparse reads it from 3.13.13
+            del args[0]
+            try:
+                self._check_value(self._subparsers._group_actions[0], args[0])
+            except argparse.ArgumentError as err:
+                self.error(str(err))
         for i in range(len(args) - 1, -1, -1):
             name, _, value = args[i].partition("=")
             following = args[i + 1] if i + 1 < len(args) else ""
             # "--x0=--" lacks its value as "--x0 --" does; argparse 3.13 would
             # keep the "--" as the value, and earlier versions store []
-            if value == "--" and _abbreviates(name, valued):
+            valued = value == "--" and [s for s, a in self._option_string_actions.items() if a.nargs is None]
+            if valued and _abbreviates(name, valued):
                 args[i : i + 1] = [name, "--"]
             # argparse reads a "-1e-05" or "-x+1" after its option as another
             # option, but "--x0=-1e-05" as the value; a "--" word stays an option

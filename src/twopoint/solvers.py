@@ -49,8 +49,6 @@ _NAN = math.nan
 
 # |x| beyond this bound classifies a run as diverged
 DIVERGENCE_BOUND = 1e12
-# points closer than this have no usable slope between them
-SEP_EPSILON = 1e-300
 # a cycle of period 2..CYCLE_PERIOD_MAX repeats x within
 # CYCLE_TOL_REL * max(1, |x|); it is looked for from record CYCLE_MIN_ITERS on
 CYCLE_PERIOD_MAX = 4
@@ -91,8 +89,8 @@ class SolverConfig(_Frozen):
     ``delta_rel`` sizes every perturbation: the PERTURB seed, the
     GUARDED_NEWTON fallback and the two-point nudge.  It must be finite and
     nonzero.  The classification thresholds are module constants:
-    DIVERGENCE_BOUND, SEP_EPSILON, CYCLE_PERIOD_MAX, CYCLE_TOL_REL and
-    CYCLE_MIN_ITERS, and MAX_HALVINGS for GUARDED_NEWTON.
+    DIVERGENCE_BOUND, CYCLE_PERIOD_MAX, CYCLE_TOL_REL and CYCLE_MIN_ITERS,
+    and MAX_HALVINGS for GUARDED_NEWTON.
     """
 
     __slots__ = _fields = ("tol", "max_iter", "seed", "delta_rel")
@@ -210,8 +208,8 @@ def twopoint_step(x_prev: float, y_prev: float, x_cur: float, y_cur: float, dy_c
     dy_cur may be 0 or infinite: r then lands on +/-inf or 1 and the step
     degenerates gracefully to x_prev or x_cur per the weight identity.
     x_cur == x_prev, or y_prev == 0 with y_cur != 0, raises ZeroDivisionError:
-    :func:`solve` takes a Newton step instead when the points are closer than
-    SEP_EPSILON, and :func:`classify` converges on a zero y_prev first.
+    :func:`solve` takes a Newton step instead between coincident points, and
+    :func:`classify` converges on a zero y_prev first.
     """
     if y_cur == 0.0:
         return x_cur, 1.0
@@ -236,7 +234,7 @@ def seed_second_point(expr: Expression, x0: float, config: SolverConfig | None =
     if config.seed is Seed.GUARDED_NEWTON:
         d0 = eval_dual(expr, x0)
         if d0.deriv != 0.0 and math.isfinite(d0.deriv):
-            step = _ieee_div(d0.value, d0.deriv)
+            step = d0.value / d0.deriv
             t = 1.0
             for _ in range(MAX_HALVINGS):
                 cand = x0 - t * step
@@ -265,11 +263,11 @@ def classify(
     Priority: convergence, domain failure, divergence, derivative stall,
     oscillation, iteration budget.  A derivative stall names the step that
     cannot be taken: Newton's from f' = 0, or secant's from equal ordinates
-    or from points closer than SEP_EPSILON.
+    at the last two points.
     """
     k, x, y, dy, _ = records[-1]
-    # move = |x_k - x_{k-1}|, read by the tolerance, secant-stall and cycle
-    # rules; a first record has no predecessor, and its NaN move fails them all
+    # move = |x_k - x_{k-1}|, read by the tolerance and cycle rules; a first
+    # record has no predecessor, and its NaN move fails them both
     if k:
         prev = records[-2]
         move = abs(x - prev.x)
@@ -284,7 +282,7 @@ def classify(
         return Diverged(x)
     if dy == 0.0 and method is _NEWTON:
         return DerivativeStall(_steps(k, method) + 1)
-    if method is _SECANT and k and (y == prev.y or move < SEP_EPSILON):
+    if method is _SECANT and k and y == prev.y:
         return DerivativeStall(_steps(k, method) + 1)
     # the cycle the last records repeat, if any; k >= CYCLE_MIN_ITERS >
     # CYCLE_PERIOD_MAX + 1, so every lag below is in range.  A genuine cycle
@@ -323,8 +321,8 @@ def solve(
     outcome :func:`classify` returns: converged when |x_k - x_{k-1}| + |y_k|
     < tol, otherwise a failure by its rules and thresholds.  x1 is ignored
     for Newton and seeded per ``config.seed`` when absent.  A two-point step
-    between points closer than SEP_EPSILON is replaced by a Newton step, and
-    one that returns exactly to x_{k-1} is nudged by ``config.delta_rel``.
+    between coincident points is replaced by a Newton step, and one that
+    returns exactly to x_{k-1} is nudged by ``config.delta_rel``.
     A non-finite x0 raises ValueError; for the two-seed methods so does a
     non-finite x1 or x1 == x0, unless x0 is a root.
     """
@@ -364,8 +362,8 @@ def solve(
             x = secant_step(prev.x, prev.y, x, y)
         else:
             prev = records[-2]
-            if abs(x - prev.x) < SEP_EPSILON:
-                # degenerate-slope guard: substitute a Newton step
+            if x == prev.x:
+                # no slope between coincident points: substitute a Newton step
                 x = newton_step(x, y, dy)
             else:
                 x_next, r = twopoint_step(prev.x, prev.y, x, y, dy)

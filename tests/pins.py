@@ -1,11 +1,11 @@
 """Script mode of the pin files: check the recorded data, or record it anew.
 
-Each pin file (``test_cli_bytes``, ``test_corpus_bits``, ``test_eval_pins``,
-``test_grid_bits`` and ``test_parse_pins``), run as a script, passes what
-the program computes now to ``check_or_record``.  Without arguments that
+Each pin file named in ``PIN_FILES``, run as a script, passes what the
+program computes now to ``check_or_record``.  Without arguments that
 compares it with the data file, prints every key that differs and exits 1
 on a mismatch; with ``--record`` it overwrites the data file instead.
-Standard library only, so it runs where pytest is not installed.
+Standard library only, so it runs where pytest is not installed.  Run as a
+script itself, this file prints the pin files' names, one a line.
 """
 
 from __future__ import annotations
@@ -13,6 +13,9 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+
+# the modules under tests/ whose script mode checks their data file
+PIN_FILES = ("test_cli_bytes", "test_corpus_bits", "test_eval_pins", "test_grid_bits", "test_parse_pins")
 
 
 def _leaves(value, key: str = "") -> dict[str, object]:
@@ -46,3 +49,7 @@ def check_or_record(path: Path, record: dict) -> int:
         print(f"differs: {key}")
     print(f"{len(differ)} of {len(want)} pins in {path.name} differ")
     return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    print(*PIN_FILES, sep="\n")

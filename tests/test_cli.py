@@ -554,6 +554,23 @@ def test_missing_or_unknown_command(capsys, argv, message):
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
+# one leading "--" ends the top-level options, so the next word is the command
+# even when it begins with "-", as argparse reads it from Python 3.13.13
+@pytest.mark.parametrize(
+    "argv", [("bench", "--table", "1"), ("solve", "--expr", "x-1", "--method", "newton", "--x0", "3")]
+)
+def test_double_dash_before_a_command_runs_it(capsys, argv):
+    want = run_cli(capsys, *argv)
+    assert want[0] == 0
+    assert run_cli(capsys, "--", *argv) == want
+
+
+@pytest.mark.parametrize("word", ["-h", "nope"])
+def test_double_dash_before_an_unknown_command_names_it(capsys, word):
+    message = f"argument command: invalid choice: {word!r} (choose from 'solve', 'bench', 'trace')"
+    assert run_cli(capsys, "--", word) == (1, "", f"error: {message}\n")
+
+
 # the text argparse wrote on Python 3.10 to 3.13.0; later 3.13 releases
 # drop the quotes around the choices, which the CLI puts back
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from pins import PIN_FILES
 
 import twopoint
 
@@ -39,9 +40,7 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     assert out == "[]\n"
 
 
-@pytest.mark.parametrize(
-    "pin_file", ["test_cli_bytes", "test_corpus_bits", "test_eval_pins", "test_grid_bits", "test_parse_pins"]
-)
+@pytest.mark.parametrize("pin_file", PIN_FILES)
 def test_pin_file_imports_without_pytest_or_hypothesis(pin_file):
     # run as a script, each pin file checks its data where neither is installed
     src = str(Path(twopoint.__file__).resolve().parents[1])
@@ -49,6 +48,18 @@ def test_pin_file_imports_without_pytest_or_hypothesis(pin_file):
     code = f"import sys; sys.modules['pytest'] = sys.modules['hypothesis'] = None; import {pin_file}"
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_pin_file_is_listed():
+    # a test file whose script mode checks recorded data is a pin file, and
+    # the workflow runs as scripts exactly those that PIN_FILES lists
+    tests = Path(__file__).parent
+    checking = [
+        path.stem
+        for path in sorted(tests.glob("test_*.py"))
+        if "check_or_record(" in path.read_text(encoding="utf-8").partition('if __name__ == "__main__":')[2]
+    ]
+    assert checking == sorted(PIN_FILES)
 
 
 _FAILING_PROPERTY = """\

@@ -10,7 +10,6 @@ from twopoint.expressions import DomainError, eval_dual, parse
 from twopoint.solvers import (
     CYCLE_MIN_ITERS,
     DIVERGENCE_BOUND,
-    SEP_EPSILON,
     Converged,
     DerivativeStall,
     Diverged,
@@ -327,10 +326,24 @@ def test_stagnation_nudge_breaks_zero_derivative_cycle():
 
 
 def test_degenerate_slope_guard_uses_newton():
-    # x0 = 0 and x1 = 5e-324 lie closer than SEP_EPSILON
+    # the equal ordinates of x0 = 0 and x1 = 5e-324 give a zero slope and
+    # r = 1, a step back to x1; from that coincident pair the next step is Newton's
     trace = solve(parse("x + 1"), Method.TWO_POINT, 0.0, x1=5e-324)
+    assert trace.records[1].r_weight == 1.0
+    assert trace.records[2].x == 5e-324
     d = eval_dual(parse("x + 1"), 5e-324)
-    assert trace.records[2].x == newton_step(5e-324, d.value, d.deriv) == -1.0
+    assert trace.records[3].x == newton_step(5e-324, d.value, d.deriv) == -1.0
+    assert trace.outcome == Converged(-1.0, 2)
+
+
+def test_points_a_subnormal_apart_take_ordinary_steps():
+    # distinct points however close have a well-defined chord and slope: 0 and
+    # 1e-310 lie within 1e-300 of each other, with distinct ordinates
+    expr = parse("1e300*x - 1")
+    secant = solve(expr, Method.SECANT, 0.0, x1=1e-310)
+    assert secant.outcome == Converged(9.999999999999999e-301, 2)
+    assert abs(secant.outcome.root - 1e-300) <= math.ulp(1e-300)
+    assert solve(expr, Method.TWO_POINT, 0.0, x1=1e-310).outcome == Converged(1e-300, 3)
 
 
 def test_secant_records_no_derivative():
@@ -395,6 +408,25 @@ def test_rate_at_a_multiple_root_matches_theory(method, m, floor, bound):
     ratios = [e1 / e0 for e0, e1 in zip(errors, errors[1:]) if 1e-6 < e0 < 1e-1 and 1e-6 < e1 < 1e-1]
     assert len(ratios) >= floor
     assert abs(statistics.median(ratios) - _multiple_root_rate(method, m)) < bound, ratios
+
+
+@pytest.mark.parametrize("x0", [1.0, -1.0])
+def test_rates_at_the_root_of_cbrt_follow_the_law_at_m_one_third(x0):
+    # cbrt(x) is x^m at m = 1/3, with the real, sign-keeping power.  With
+    # s = rho^(1/3), two-point keeps the ratio rho only when
+    # 1 - 3*rho/(s^2 + s + 1) = 1/(1 + rho), that is 3s^3 - s^2 - s + 2 = 0;
+    # Newton's rate (m - 1)/m = -2 moves away from the root
+    rho = _bisect(lambda s: 3 * s**3 - s**2 - s + 2, -1.0, -0.5) ** 3
+    assert abs(rho - -0.6998589206350913) < 1e-15
+    expr = parse("cbrt(x)")
+    twopoint = solve(expr, Method.TWO_POINT, x0)
+    assert isinstance(twopoint.outcome, Converged)
+    xs = [rec.x for rec in twopoint.records]
+    assert all(abs(x1 / x - rho) < 1e-12 for x, x1 in zip(xs[-21:], xs[-20:]))
+    newton = solve(expr, Method.NEWTON, x0)
+    assert isinstance(newton.outcome, Diverged)
+    xs = [rec.x for rec in newton.records]
+    assert all(abs(x1 / x - -2.0) < 1e-12 for x, x1 in zip(xs, xs[1:]))
 
 
 # --- classify -------------------------------------------------------------------
@@ -468,7 +500,7 @@ def test_classify_nan_derivative_never_stalls():
     "records",
     [
         [_rec(0, 3.0, y=4.0), _rec(1, 2.0), _rec(2, 2.5)],
-        [_rec(0, 3.0, y=4.0), _rec(1, 0.0), _rec(2, SEP_EPSILON / 2, y=2.0)],
+        [_rec(0, 3.0, y=4.0), _rec(1, 2.0, y=2.0), _rec(2, 2.0, y=2.0)],
     ],
     ids=["equal-ordinates", "coincident-points"],
 )
@@ -479,6 +511,11 @@ def test_classify_secant_stalls_without_a_chord(records):
     # the methods with a derivative step on
     assert classify(records, SolverConfig(), Method.TWO_POINT) is None
     assert classify(records, SolverConfig(), Method.NEWTON) is None
+
+
+def test_classify_secant_has_a_chord_between_points_a_subnormal_apart():
+    records = [_rec(0, 3.0, y=4.0), _rec(1, 0.0, y=1.0), _rec(2, 1e-310, y=2.0)]
+    assert classify(records, SolverConfig(), Method.SECANT) is None
 
 
 # a 2-cycle whose last record is the first one searched for cycles
