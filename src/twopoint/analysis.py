@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from .solvers import Trace
 
@@ -40,23 +40,17 @@ _ORDER_TAIL = 5
 _FLOOR_FACTOR = 1e3 * sys.float_info.epsilon
 
 
-class ErrorSequence(NamedTuple):
-    reference_root: float
-    errors: tuple[float, ...]
-    # leading errors that belong to seed points; the ratio between two seed
-    # points is not a step of the method and never enters the order estimate
-    seeds: int = 1
+# reference_root: a float; errors: a tuple of floats; seeds: the leading errors
+# that belong to seed points, an int.  The ratio between two seed points is not
+# a step of the method and never enters the order estimate
+ErrorSequence = namedtuple("ErrorSequence", "reference_root errors seeds", defaults=(1,))
 
-
-class ConvergenceReport(NamedTuple):
-    # NaN where the validity filter rejected the pair; a valid c_k is finite
-    ck: tuple[float, ...]
-    # median COC over the tail window; present only with >= 3 valid entries
-    # and at least one usable COC
-    estimated_order: float | None
-    # valid c_k pairs (the last <= 5) the COC values were drawn from; 0 when
-    # estimated_order is None
-    tail_window: int
+# ck: a tuple of floats, NaN where the validity filter rejected the pair; a
+# valid c_k is finite.  estimated_order: the median COC over the tail window, a
+# float, present only with >= 3 valid entries and at least one usable COC, else
+# None.  tail_window: the valid c_k pairs (the last <= 5) the COC values were
+# drawn from, an int; 0 when estimated_order is None
+ConvergenceReport = namedtuple("ConvergenceReport", "ck estimated_order tail_window")
 
 
 def error_sequence(trace: Trace, reference_root: float) -> ErrorSequence:

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
+# json is imported where it is used, in the JSON writers below and in
+# corpus.load_problems: only --format json and --problems need it, and it
+# took a fifth of this module's import time
 from . import analysis, corpus
 from .expressions import Expression, parse
 from .solvers import (
@@ -201,6 +203,8 @@ def _cmd_solve(args) -> int:
     trace = solve(expression, Method(args.method), args.x0, config, args.x1)
     outcome = trace.outcome
     if args.format == "json":
+        import json
+
         payload = {
             "problem": label,
             "method": trace.method.value,
@@ -251,6 +255,8 @@ def _cmd_bench(args) -> int:
     tables = {"1": (1,), "2": (2,), "all": (1, 2)}[args.table]
     rows = bench_rows(tables)
     if args.format == "json":
+        import json
+
         cells = [dict(zip(BENCH_COLUMNS, map(_json_cell, row))) for row in rows]
         _write(json.dumps(cells, indent=2, allow_nan=False) + "\n", args.out)
     else:

@@ -9,12 +9,12 @@ derivatives always come from the evaluator, never hand-coded.
 
 from __future__ import annotations
 
-import json
 import math
-from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+import os
+from collections import namedtuple
+from collections.abc import Iterable
 
-from .expressions import DomainError, Expression, ParseError, eval_dual, parse
+from .expressions import DomainError, ParseError, eval_dual, parse
 from .solvers import Converged, Diverged, DomainFailure, Method, Oscillating
 
 __all__ = [
@@ -33,12 +33,10 @@ __all__ = [
 ]
 
 
-class ExpectedResult(NamedTuple):
-    """A benchmark-table cell: the outcome label the paper reports, and its
-    iteration count when that label is converged."""
-
-    label: str  # an Outcome.label
-    count: int | None = None
+ExpectedResult = namedtuple("ExpectedResult", "label count", defaults=(None,))
+ExpectedResult.__doc__ = """A benchmark-table cell: the outcome label the paper reports (a str, an
+Outcome.label), and its iteration count (an int) when that label is converged,
+else None."""
 
 
 def iteration_count(n: int) -> ExpectedResult:
@@ -47,13 +45,10 @@ def iteration_count(n: int) -> ExpectedResult:
     return ExpectedResult(Converged.label, n)
 
 
-class Problem(NamedTuple):
-    name: str
-    source: str
-    expression: Expression
-    reference_root: float | None
-    starts: tuple[float, ...]
-    expected: Mapping[tuple[Method, float], ExpectedResult]
+# name and source: strs; expression: the parsed source; reference_root: a float
+# or None; starts: a tuple of floats; expected: a mapping from (Method, start)
+# to ExpectedResult
+Problem = namedtuple("Problem", "name source expression reference_root starts expected")
 
 
 class ProblemFileError(ValueError):
@@ -203,12 +198,15 @@ def _parse_expected_value(index: int, key: str, value) -> ExpectedResult:
         _fail(index, "expected", f"bad value {value!r} for {key!r}, want a positive integer")
 
 
-def load_problems(path: str | Path) -> tuple[Problem, ...]:
+def load_problems(path: str | os.PathLike[str]) -> tuple[Problem, ...]:
     """Load a JSON problem file; errors carry the entry index and field."""
-    text = Path(path).read_text(encoding="utf-8")
+    import json
+
     try:
-        data = json.loads(text)
-    except ValueError as err:  # a JSONDecodeError, or an integer too long to convert
+        # RFC 8259 JSON is UTF-8, so other bytes fail here as malformed JSON does
+        with open(path, encoding="utf-8") as fh:
+            data = json.loads(fh.read())
+    except ValueError as err:  # a JSONDecodeError or UnicodeDecodeError, or an integer too long to convert
         raise ProblemFileError(f"not valid JSON: {err}") from None
     except RecursionError:
         raise ProblemFileError("not valid JSON: nested too deeply") from None

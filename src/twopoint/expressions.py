@@ -21,9 +21,10 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections import namedtuple
+from collections.abc import Callable
 from functools import cached_property
 from types import MethodType
-from typing import Callable, NamedTuple
 
 __all__ = [
     "BinOp",
@@ -78,32 +79,12 @@ class DomainError(ValueError):
 # --- syntax tree ------------------------------------------------------------
 
 
-class Number(NamedTuple):
-    value: float
-
-
-class Variable(NamedTuple):
-    pass
-
-
-class Constant(NamedTuple):
-    name: str  # "pi" or "e"
-
-
-class Neg(NamedTuple):
-    operand: "Node"
-
-
-class BinOp(NamedTuple):
-    op: str  # one of + - * / ^
-    left: "Node"
-    right: "Node"
-
-
-class Call(NamedTuple):
-    func: str
-    arg: "Node"
-
+Number = namedtuple("Number", "value")  # value: a float
+Variable = namedtuple("Variable", ())
+Constant = namedtuple("Constant", "name")  # name: "pi" or "e"
+Neg = namedtuple("Neg", "operand")  # operand: a Node
+BinOp = namedtuple("BinOp", "op left right")  # op: one of + - * / ^; left, right: Nodes
+Call = namedtuple("Call", "func arg")  # func: a name in FUNCTIONS; arg: a Node
 
 Node = Number | Variable | Constant | Neg | BinOp | Call
 
@@ -179,11 +160,8 @@ class Expression(_Frozen):
         return _compile(self.root)
 
 
-class Dual(NamedTuple):
-    """Value and derivative with respect to ``x`` at the evaluation point."""
-
-    value: float
-    deriv: float
+Dual = namedtuple("Dual", "value deriv")
+Dual.__doc__ = """Value and derivative with respect to ``x`` at the evaluation point, two floats."""
 
 
 # --- tokenizer --------------------------------------------------------------

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
+from collections.abc import Sequence
 from enum import Enum
-from typing import NamedTuple, Sequence, Union
 
 from .expressions import DomainError, Expression, _Frozen, eval_dual
 
@@ -109,17 +110,15 @@ class SolverConfig(_Frozen):
 DEFAULT_CONFIG = SolverConfig()
 
 
-class IterationRecord(NamedTuple):
-    k: int
-    x: float
-    y: float
-    dy: float  # NaN for secant, which never consumes derivatives
-    r_weight: float  # two-point weight of the step taken *from* this record
+# k: the int index of the record; x, y = f(x), dy = f'(x): floats, dy NaN for
+# secant, which never consumes derivatives; r_weight: the float two-point
+# weight of the step taken *from* this record
+IterationRecord = namedtuple("IterationRecord", "k x y dy r_weight")
 
 
 # _new_record((k, x, y, dy, r_weight)) is IterationRecord(k, x, y, dy, r_weight)
 # built by tuple.__new__ alone: it skips the Python-level __new__ that
-# NamedTuple generates, a frame per record.  solve builds every record with it.
+# namedtuple generates, a frame per record.  solve builds every record with it.
 _new_record = functools.partial(tuple.__new__, IterationRecord)
 
 
@@ -155,14 +154,14 @@ class MaxIterationsExceeded(_Frozen):
     label = "max-iterations"
 
 
-Outcome = Union[Converged, Diverged, Oscillating, DomainFailure, DerivativeStall, MaxIterationsExceeded]
+Outcome = Converged | Diverged | Oscillating | DomainFailure | DerivativeStall | MaxIterationsExceeded
 
 
-class Trace(NamedTuple):
-    method: Method
-    records: tuple[IterationRecord, ...]
-    outcome: Outcome
-    config: SolverConfig
+class Trace(namedtuple("Trace", "method records outcome config")):
+    """One run: its Method, its records (a tuple of IterationRecord, seed
+    points first), its Outcome and the SolverConfig it ran under."""
+
+    __slots__ = ()
 
     @property
     def iterations(self) -> int:

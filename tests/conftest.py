@@ -82,6 +82,29 @@ def step_numbering_holds(trace: Trace) -> bool:
     return True
 
 
+def bisect_root(g, lo: float, hi: float) -> float:
+    """The root of the increasing function ``g`` in [lo, hi], to the last bit."""
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return mid
+        lo, hi = (mid, hi) if g(mid) < 0 else (lo, mid)
+
+
+def multiple_root_rate(method: Method, m: int) -> float:
+    """The linear rate |e_k+1| / |e_k| of ``method`` at a root of multiplicity m.
+
+    Two-point's rho solves (1 + rho)(1 + rho + ... + rho^(m-1)) = m, the fixed
+    point r = 1 / (1 + rho) of its weight; Newton's is (m - 1) / m; secant's
+    rho solves rho^m + rho^(m-1) = 1.
+    """
+    if method is Method.NEWTON:
+        return (m - 1) / m
+    if method is Method.SECANT:
+        return bisect_root(lambda r: r**m + r ** (m - 1) - 1, 0.0, 1.0)
+    return bisect_root(lambda r: (1 + r) * sum(r**j for j in range(m)) - m, 0.0, 1.0)
+
+
 def scale_expression(c: float, expr: Expression) -> Expression:
     return Expression(BinOp("*", Number(c), expr.root))
 

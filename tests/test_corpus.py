@@ -160,9 +160,11 @@ def test_load_rejects_non_array(tmp_path):
 
 def test_load_rejects_bad_json(tmp_path):
     path = tmp_path / "problems.json"
-    path.write_text("not json")
-    with pytest.raises(ProblemFileError):
-        load_problems(path)
+    # the second is "[]" after a UTF-16 byte-order mark: JSON text is UTF-8
+    for data in (b"not json", b"\xff\xfe[]"):
+        path.write_bytes(data)
+        with pytest.raises(ProblemFileError, match="^not valid JSON: "):
+            load_problems(path)
 
 
 def test_load_rejects_deeply_nested_json(tmp_path):

@@ -16,10 +16,10 @@ import pytest
 
 mpmath = pytest.importorskip("mpmath")
 
-from conftest import SAMPLE_WINDOWS  # noqa: E402
+from conftest import SAMPLE_WINDOWS, multiple_root_rate  # noqa: E402
 
 from twopoint import corpus  # noqa: E402
-from twopoint.expressions import DomainError, eval_dual  # noqa: E402
+from twopoint.expressions import DomainError, eval_dual, parse  # noqa: E402
 from twopoint.analysis import ck_sequence, error_sequence  # noqa: E402
 from twopoint.solvers import Converged, Method, solve  # noqa: E402
 
@@ -152,8 +152,9 @@ HP_EXCLUDED = {
 }
 
 
-def _replay(f, method: Method, seeds: list) -> list:
-    """Iterates of ``method`` from ``seeds`` at the working precision.
+def _replay(f, df, method: Method, seeds: list) -> list:
+    """Iterates of ``method`` from ``seeds`` at the working precision, with
+    ``df`` the derivative of ``f``.
 
     Stops when f is exactly 0, when a step moves x by less than HP_FLOOR
     relative to |x|, or after HP_MAX_STEPS steps.
@@ -164,12 +165,12 @@ def _replay(f, method: Method, seeds: list) -> list:
         if y == 0 or (len(xs) > 1 and abs(x - xs[-2]) < HP_FLOOR * max(1, abs(x))):
             break
         if method is Method.NEWTON:
-            x = x - y / mpmath.diff(f, x)
+            x = x - y / df(x)
         elif method is Method.SECANT:
             x = x - y * (x - xs[-2]) / (y - ys[-2])
         else:
             x_prev, y_prev = xs[-2], ys[-2]
-            r = 1 - (y / y_prev) * (((y - y_prev) / (x - x_prev)) / mpmath.diff(f, x))
+            r = 1 - (y / y_prev) * (((y - y_prev) / (x - x_prev)) / df(x))
             x = x_prev - (x_prev - x) / r
         xs.append(x)
         ys.append(f(x))
@@ -207,7 +208,7 @@ def _hp_replay(f, method: Method, trace, root) -> tuple[list, object]:
     seed points, and the root refined at that precision."""
     hp_root = mpmath.findroot(f, mpmath.mpf(root))
     seeds = [mpmath.mpf(rec.x) for rec in trace.records[: len(trace.records) - trace.iterations]]
-    return _replay(f, method, seeds), hp_root
+    return _replay(f, lambda x: mpmath.diff(f, x), method, seeds), hp_root
 
 
 @pytest.mark.parametrize("method", corpus.TABLE_METHODS, ids=[m.value for m in corpus.TABLE_METHODS])
@@ -287,3 +288,34 @@ def test_high_precision_error_constant_matches_theory(method):
         if not ok:
             wrong.append(f"{label}: ratio {ratio}, constant {constant}")
     assert not wrong, wrong
+
+
+# --- the multiple-root law in high precision ---------------------------------------
+
+MULTIPLE_ROOT_DIGITS = 50
+
+
+@pytest.mark.parametrize("m", [2, 3, 4], ids=["m2", "m3", "m4"])
+@pytest.mark.parametrize("method", list(Method), ids=[m.value for m in Method])
+def test_high_precision_rate_at_a_multiple_root_matches_theory(method, m):
+    """At the root -2 of multiplicity m of (x - 2) * (x + 2)^m, the last ten
+    error ratios |e_k+1 / e_k| with e_k < 1e-6 and e_k+1 > 1e-30 lie within
+    1e-12 of the method's linear rate (conftest.multiple_root_rate).  The
+    replay runs at 50 digits with the exact derivative, from the float run's
+    seed points, -3 and -2.9997; the float run's median ratio meets the law
+    only within 1e-4 or 1e-3 (tests/test_solvers.py).
+    """
+    trace = solve(parse(f"(x - 2) * (x + 2)^{m}"), method, -3.0)
+    seeds = [rec.x for rec in trace.records[: len(trace.records) - trace.iterations]]
+    with mpmath.workdps(MULTIPLE_ROOT_DIGITS):
+        xs = _replay(
+            lambda x: (x - 2) * (x + 2) ** m,
+            lambda x: (x + 2) ** (m - 1) * (x + 2 + m * (x - 2)),
+            method,
+            [mpmath.mpf(x) for x in seeds],
+        )
+        errors = [abs(x + 2) for x in xs]
+        ratios = [float(e1 / e0) for e0, e1 in zip(errors, errors[1:]) if e0 < 1e-6 and e1 > 1e-30]
+    rate = multiple_root_rate(method, m)
+    assert len(ratios) >= 10
+    assert all(abs(ratio - rate) <= 1e-12 for ratio in ratios[-10:]), (rate, ratios[-10:])

@@ -16,27 +16,22 @@ def test_star_import_yields_exactly_the_documented_names():
     assert sorted(namespace) == ["Method", "ck_sequence", "error_sequence", "load_problems", "parse", "solve"]
 
 
-def test_cli_import_leaves_statistics_unloaded():
-    # a fresh interpreter, so no other test's imports count; statistics
-    # alone took about a tenth of the CLI's import time
+def test_cli_import_leaves_unused_modules_unloaded():
+    # a fresh interpreter, so no other test's imports count, and without site
+    # (-S), whose hooks on some hosts load typing, inspect or pathlib first and
+    # so hide what the import adds.  Each module was a share of the import
+    # time that not every command uses: statistics about a tenth; dataclasses,
+    # with the inspect, ast and dis it imports, about two thirds; json, which
+    # only --format json and --problems use, a fifth; pathlib and typing (with
+    # contextlib) about two fifths under -S
     src = str(Path(twopoint.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    code = "import sys, twopoint.cli; print(sorted(m for m in ('statistics', 'twopoint.cli') if m in sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    assert out == "['twopoint.cli']\n"
-
-
-def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
-    # dataclasses, with the inspect, ast and dis it imports, took about two
-    # thirds of the CLI's import time; the value types do without them.  Only
-    # what the import adds counts: on some hosts site has loaded inspect already
-    src = str(Path(twopoint.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    unused = ("statistics", "dataclasses", "inspect", "json", "pathlib", "typing", "contextlib")
     code = (
         "import sys; before = set(sys.modules); import twopoint.cli; "
-        "print(sorted((set(sys.modules) - before) & {'dataclasses', 'inspect'}))"
+        f"print(sorted((set(sys.modules) - before) & {set(unused)!r}))"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
 
 

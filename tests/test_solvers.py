@@ -2,7 +2,7 @@ import math
 import statistics
 
 import pytest
-from conftest import step_numbering_holds
+from conftest import bisect_root, multiple_root_rate, step_numbering_holds
 
 import twopoint.solvers
 from twopoint.corpus import builtin_problems
@@ -373,29 +373,6 @@ def test_twopoint_r_weight_bookkeeping():
     assert math.isnan(rs[-1])  # no step taken from the final record
 
 
-def _bisect(g, lo: float, hi: float) -> float:
-    """The root of the increasing function ``g`` in [lo, hi], to the last bit."""
-    while True:
-        mid = (lo + hi) / 2
-        if mid in (lo, hi):
-            return mid
-        lo, hi = (mid, hi) if g(mid) < 0 else (lo, mid)
-
-
-def _multiple_root_rate(method: Method, m: int) -> float:
-    """The linear rate |e_k+1| / |e_k| of ``method`` at a root of multiplicity m.
-
-    Two-point's rho solves (1 + rho)(1 + rho + ... + rho^(m-1)) = m, the fixed
-    point r = 1 / (1 + rho) of its weight; Newton's is (m - 1) / m; secant's
-    rho solves rho^m + rho^(m-1) = 1.
-    """
-    if method is Method.NEWTON:
-        return (m - 1) / m
-    if method is Method.SECANT:
-        return _bisect(lambda r: r**m + r ** (m - 1) - 1, 0.0, 1.0)
-    return _bisect(lambda r: (1 + r) * sum(r**j for j in range(m)) - m, 0.0, 1.0)
-
-
 # (m, least number of ratios, largest distance of their median from the law):
 # two-point's linear regime is the shortest, 12, 19 and 27 ratios long
 @pytest.mark.parametrize("m, floor, bound", [(2, 10, 1e-4), (3, 15, 1e-4), (4, 20, 1e-3)], ids=["m2", "m3", "m4"])
@@ -407,7 +384,7 @@ def test_rate_at_a_multiple_root_matches_theory(method, m, floor, bound):
     errors = [abs(rec.x + 2.0) for rec in trace.records]
     ratios = [e1 / e0 for e0, e1 in zip(errors, errors[1:]) if 1e-6 < e0 < 1e-1 and 1e-6 < e1 < 1e-1]
     assert len(ratios) >= floor
-    assert abs(statistics.median(ratios) - _multiple_root_rate(method, m)) < bound, ratios
+    assert abs(statistics.median(ratios) - multiple_root_rate(method, m)) < bound, ratios
 
 
 @pytest.mark.parametrize("x0", [1.0, -1.0])
@@ -416,7 +393,7 @@ def test_rates_at_the_root_of_cbrt_follow_the_law_at_m_one_third(x0):
     # s = rho^(1/3), two-point keeps the ratio rho only when
     # 1 - 3*rho/(s^2 + s + 1) = 1/(1 + rho), that is 3s^3 - s^2 - s + 2 = 0;
     # Newton's rate (m - 1)/m = -2 moves away from the root
-    rho = _bisect(lambda s: 3 * s**3 - s**2 - s + 2, -1.0, -0.5) ** 3
+    rho = bisect_root(lambda s: 3 * s**3 - s**2 - s + 2, -1.0, -0.5) ** 3
     assert abs(rho - -0.6998589206350913) < 1e-15
     expr = parse("cbrt(x)")
     twopoint = solve(expr, Method.TWO_POINT, x0)
