@@ -16,23 +16,34 @@ def test_star_import_yields_exactly_the_documented_names():
     assert sorted(namespace) == ["Method", "ck_sequence", "error_sequence", "load_problems", "parse", "solve"]
 
 
-def test_cli_import_leaves_unused_modules_unloaded():
+def _modules_cli_import_adds(names):
     # a fresh interpreter, so no other test's imports count, and without site
     # (-S), whose hooks on some hosts load typing, inspect or pathlib first and
-    # so hide what the import adds.  Each module was a share of the import
-    # time that not every command uses: statistics about a tenth; dataclasses,
-    # with the inspect, ast and dis it imports, about two thirds; json, which
-    # only --format json and --problems use, a fifth; pathlib and typing (with
-    # contextlib) about two fifths under -S
+    # so hide what the import adds
     src = str(Path(twopoint.__file__).resolve().parents[1])
-    unused = ("statistics", "dataclasses", "inspect", "json", "pathlib", "typing", "contextlib")
     code = (
         "import sys; before = set(sys.modules); import twopoint.cli; "
-        f"print(sorted((set(sys.modules) - before) & {set(unused)!r}))"
+        f"print(sorted((set(sys.modules) - before) & {set(names)!r}))"
     )
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    assert out == "[]\n"
+    return subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_leaves_statistics_unloaded():
+    # statistics alone took about a tenth of the CLI's import time
+    assert _modules_cli_import_adds(("statistics",)) == "[]\n"
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # dataclasses, with the inspect, ast and dis it imports, took about two
+    # thirds of the CLI's import time; the value types do without them
+    assert _modules_cli_import_adds(("dataclasses", "inspect")) == "[]\n"
+
+
+def test_cli_import_leaves_json_pathlib_and_typing_unloaded():
+    # json, which only --format json and --problems use, took a fifth of the
+    # import time; pathlib and typing (with contextlib) about two fifths under -S
+    assert _modules_cli_import_adds(("json", "pathlib", "typing", "contextlib")) == "[]\n"
 
 
 @pytest.mark.parametrize("pin_file", PIN_FILES)
