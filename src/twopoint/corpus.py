@@ -178,14 +178,14 @@ def _require_number(index: int, fld: str, value) -> float:
     return number
 
 
-def _parse_expected_key(index: int, key: str) -> tuple[Method, float]:
+def _parse_expected_key(index: int, key: str, starts: tuple[float, ...]) -> tuple[Method, float]:
     method_name, sep, start_text = key.partition("@")
     if not sep or method_name not in _METHOD_NAMES:
         _fail(index, "expected", f"bad key {key!r}, want 'method@start' with method in {sorted(_METHOD_NAMES)}")
     try:
-        start = float(start_text)
+        start = starts[starts.index(float(start_text))]
     except ValueError:
-        _fail(index, "expected", f"bad start in key {key!r}")
+        _fail(index, "expected", f"bad start in key {key!r}, want one of the entry's starts {list(starts)}")
     return _METHOD_NAMES[method_name], start
 
 
@@ -243,7 +243,7 @@ def load_problems(path: str | os.PathLike[str]) -> tuple[Problem, ...]:
         if not isinstance(raw_expected, dict):
             _fail(i, "expected", "must be an object keyed 'method@start'")
         for key, value in raw_expected.items():
-            method, start = _parse_expected_key(i, key)
+            method, start = _parse_expected_key(i, key, starts)
             expected[(method, start)] = _parse_expected_value(i, key, value)
         problems.append(Problem(name, source, expression, root, starts, expected))
     return tuple(problems)

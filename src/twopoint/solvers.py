@@ -169,9 +169,9 @@ class Trace(namedtuple("Trace", "method records outcome config")):
         return _steps(self.records[-1].k, self.method)
 
 
-def _steps(last_k: int, method: Method) -> int:
-    """Steps taken up to record ``last_k``; a failure there names the next one."""
-    return max(last_k + 1 - _SEEDS[method], 0)
+def _steps(k: int, method: Method) -> int:
+    """Steps taken up to record ``k``; a failure there names the next one."""
+    return max(k + 1 - _SEEDS[method], 0)
 
 
 class SeedingError(ValueError):
@@ -218,11 +218,9 @@ def twopoint_step(x_prev: float, y_prev: float, x_cur: float, y_cur: float, dy_c
 
 
 def _eval_ok(expr: Expression, x: float) -> bool:
-    if not math.isfinite(x):
-        return False
     try:
         eval_dual(expr, x)
-    except DomainError:
+    except ValueError:
         return False
     return True
 
@@ -253,16 +251,14 @@ def classify(
     records: Sequence[IterationRecord],
     config: SolverConfig,
     method: Method,
-    *,
     domain_error: DomainError | None = None,
-    steps_exhausted: bool = False,
 ) -> Outcome | None:
     """Outcome of a partial trace, or None if the iteration should continue.
 
     Priority: convergence, domain failure, divergence, derivative stall,
-    oscillation, iteration budget.  A derivative stall names the step that
-    cannot be taken: Newton's from f' = 0, or secant's from equal ordinates
-    at the last two points.
+    oscillation, then the budget of ``config.max_iter`` steps.  A derivative
+    stall names the step that cannot be taken: Newton's from f' = 0, or
+    secant's from equal ordinates at the last two points.
     """
     k, x, y, dy, _ = records[-1]
     # move = |x_k - x_{k-1}|, read by the tolerance and cycle rules; a first
@@ -302,7 +298,8 @@ def classify(
                     continue
                 if abs(x_prev - lag_prev) <= CYCLE_TOL_REL * max(1.0, abs(x_prev)):
                     return Oscillating(p)
-    if steps_exhausted:
+    # k >= _steps(k, method), so the cheap test spares the seed lookup
+    if k >= config.max_iter and _steps(k, method) >= config.max_iter:
         return MaxIterationsExceeded(x)
     return None
 
@@ -318,35 +315,36 @@ def solve(
 
     Each point is evaluated and recorded, and the run ends with the first
     outcome :func:`classify` returns: converged when |x_k - x_{k-1}| + |y_k|
-    < tol, otherwise a failure by its rules and thresholds.  x1 is ignored
-    for Newton and seeded per ``config.seed`` when absent.  A two-point step
-    between coincident points is replaced by a Newton step, and one that
-    returns exactly to x_{k-1} is nudged by ``config.delta_rel``.
-    A non-finite x0 raises ValueError; for the two-seed methods so does a
-    non-finite x1 or x1 == x0, unless x0 is a root.
+    < tol, otherwise a failure by its rules and thresholds, at the latest
+    after ``config.max_iter`` steps: max_iter + 1 records for Newton, + 2 for
+    the others.  x1 is ignored for Newton and seeded per ``config.seed`` when
+    absent.  A two-point step between coincident points is replaced by a
+    Newton step, and one that returns exactly to x_{k-1} is nudged by
+    ``config.delta_rel``.  A non-finite x0 raises ValueError; for the
+    two-seed methods so does a non-finite x1 or x1 == x0, unless x0 is a root.
     """
     config = config or DEFAULT_CONFIG
     newton, secant = method is Method.NEWTON, method is Method.SECANT
     seeds = _SEEDS[method]
-    # the index of the record that spends the step budget
-    last_k = config.max_iter + seeds - 1
     records: list[IterationRecord] = []
     x = x0
     while True:
         k = len(records)
         y = dy = _NAN
         error = None
-        # eval_dual rejects a non-finite seed with ValueError; a step that
-        # overflowed is recorded unevaluated, and classify calls it diverged
-        if k < seeds or math.isfinite(x):
-            try:
-                y, dy = eval_dual(expr, x)
-            except DomainError as err:
-                error = err
-            if secant:
-                dy = _NAN
+        try:
+            y, dy = eval_dual(expr, x)
+        except DomainError as err:
+            error = err
+        except ValueError:
+            # eval_dual rejects a non-finite x: a seed is the caller's error,
+            # and an overflowed step is recorded for classify to call diverged
+            if k < seeds:
+                raise
+        if secant:
+            dy = _NAN
         records.append(_new_record((k, x, y, dy, _NAN)))
-        outcome = classify(records, config, method, domain_error=error, steps_exhausted=k >= last_k)
+        outcome = classify(records, config, method, error)
         if outcome is not None:
             break
         # the next point: the second seed, or a step from the last record

@@ -141,6 +141,10 @@ def test_load_entry_matches_builtin(tmp_path):
         ({"name": "t", "expr": "x", "starts": [1], "expected": {"newton@1": -2}}, "expected"),
         ({"name": "t", "expr": "x", "starts": [10**400]}, "starts"),
         ({"name": "t", "expr": "x", "starts": [1], "root": -(10**400)}, "root"),
+        # an expected key names one of its entry's starts
+        ({"name": "t", "expr": "x", "starts": [3.0], "expected": {"newton@nan": 3}}, "expected"),
+        ({"name": "t", "expr": "x", "starts": [3.0], "expected": {"twopoint@inf": 3}}, "expected"),
+        ({"name": "t", "expr": "x", "starts": [3.0], "expected": {"secant@9": 3}}, "expected"),
     ],
 )
 def test_load_schema_violations(tmp_path, entry, field):

@@ -288,6 +288,13 @@ def test_non_finite_start_raises():
             solve(parse("x^2 - 2"), Method.NEWTON, x0)
 
 
+@pytest.mark.parametrize("method", [Method.SECANT, Method.TWO_POINT], ids=lambda m: m.value)
+def test_non_finite_x1_raises(method):
+    for x1 in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            solve(parse("x^2 - 2"), method, 3.0, x1=x1)
+
+
 def test_domain_failure_at_explicit_x1():
     # x1 has no ordinate, so step 1 cannot be taken
     trace = solve(parse("ln(x)"), Method.SECANT, 2.0, x1=-1.0)
@@ -449,10 +456,23 @@ def test_classify_slow_contraction_is_not_oscillation():
 
 
 def test_classify_max_iter():
-    config = SolverConfig()
-    records = [_rec(0, 3.0), _rec(1, 2.0)]
-    out = classify(records, config, Method.NEWTON, steps_exhausted=True)
+    # Newton spends a budget of 2 steps at record 2
+    records = [_rec(0, 3.0), _rec(1, 2.5), _rec(2, 2.0)]
+    out = classify(records, SolverConfig(max_iter=2), Method.NEWTON)
     assert out == MaxIterationsExceeded(2.0)
+
+
+# distinct points and ordinates, so no rule but the budget ends a run on them
+_STEADY = [_rec(k, 3.0 - 0.125 * k, y=1.0 + k) for k in range(5)]
+
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_classify_ends_at_the_step_budget(method):
+    # record max_iter for Newton, max_iter + 1 after the two seeds
+    config = SolverConfig(max_iter=3)
+    last = 3 if method is Method.NEWTON else 4
+    assert classify(_STEADY[:last], config, method) is None
+    assert classify(_STEADY[: last + 1], config, method) == MaxIterationsExceeded(_STEADY[last].x)
 
 
 @pytest.mark.parametrize("method", list(Method))
@@ -505,20 +525,22 @@ def test_classify_looks_for_cycles_from_cycle_min_iters():
     assert classify(_CYCLE, SolverConfig(), Method.SECANT) == Oscillating(2)
 
 
+# each last record spends the budget of max_iter steps: record max_iter for
+# Newton, max_iter + 1 for secant and two-point
 @pytest.mark.parametrize(
-    "records, method, domain_error, expected",
+    "records, method, max_iter, domain_error, expected",
     [
-        ([_rec(0, 3.0), _rec(1, 2.0, y=0.0)], Method.NEWTON, None, Converged(2.0, 1)),
-        ([_rec(0, 3.0), _rec(1, 2.0)], Method.NEWTON, _LN_ERROR, DomainFailure(2, str(_LN_ERROR))),
-        ([_rec(0, 3.0), _rec(1, 2e12)], Method.SECANT, None, Diverged(2e12)),
-        ([_rec(0, 3.0), _rec(1, 2.0, dy=0.0)], Method.NEWTON, None, DerivativeStall(2)),
-        (_CYCLE, Method.TWO_POINT, None, Oscillating(2)),
-        ([_rec(0, 3.0), _rec(1, 2.0)], Method.SECANT, None, DerivativeStall(1)),
+        ([_rec(0, 3.0), _rec(1, 2.5), _rec(2, 2.0, y=0.0)], Method.NEWTON, 2, None, Converged(2.0, 2)),
+        ([_rec(0, 3.0), _rec(1, 2.5), _rec(2, 2.0)], Method.NEWTON, 2, _LN_ERROR, DomainFailure(3, str(_LN_ERROR))),
+        (_STEADY[:3] + [_rec(3, 2e12)], Method.SECANT, 2, None, Diverged(2e12)),
+        ([_rec(0, 3.0), _rec(1, 2.5), _rec(2, 2.0, dy=0.0)], Method.NEWTON, 2, None, DerivativeStall(3)),
+        (_CYCLE, Method.TWO_POINT, CYCLE_MIN_ITERS - 1, None, Oscillating(2)),
+        (_STEADY[:3] + [_rec(3, 2.5, y=_STEADY[2].y)], Method.SECANT, 2, None, DerivativeStall(3)),
     ],
     ids=["converged", "domain-failure", "diverged", "stall", "oscillating", "secant-stall"],
 )
-def test_classify_budget_loses_to_every_other_outcome(records, method, domain_error, expected):
-    out = classify(records, SolverConfig(), method, domain_error=domain_error, steps_exhausted=True)
+def test_classify_budget_loses_to_every_other_outcome(records, method, max_iter, domain_error, expected):
+    out = classify(records, SolverConfig(max_iter=max_iter), method, domain_error=domain_error)
     assert out == expected
 
 
