@@ -35,8 +35,8 @@ from .solvers import (
     solve,
 )
 
-TRACE_COLUMNS = IterationRecord._fields + ("abs_error", "ck")
-BENCH_COLUMNS = ("problem", "start", "method", "outcome", "iterations", "final_x", "comparison")
+_TRACE_COLUMNS = IterationRecord._fields + ("abs_error", "ck")
+_BENCH_COLUMNS = ("problem", "start", "method", "outcome", "iterations", "final_x", "comparison")
 
 
 class _UsageError(Exception):
@@ -147,7 +147,7 @@ def _describe(outcome) -> str:
 
 
 def trace_rows(trace: Trace, reference_root: float | None) -> list[tuple]:
-    """Per-iteration cells in TRACE_COLUMNS order, a record and its abs_error and ck; NaN marks a blank."""
+    """Per-iteration cells in _TRACE_COLUMNS order, a record and its abs_error and ck; NaN marks a blank."""
     abs_errors = ck = (math.nan,) * len(trace.records)
     if reference_root is not None:
         sequence = analysis.error_sequence(trace, reference_root)
@@ -214,10 +214,10 @@ def _cmd_solve(args) -> int:
             "final_x": _json_cell(trace.records[-1].x),
         }
         if args.verbose:
-            payload["records"] = [dict(zip(TRACE_COLUMNS, map(_json_cell, row))) for row in trace_rows(trace, root)]
+            payload["records"] = [dict(zip(_TRACE_COLUMNS, map(_json_cell, row))) for row in trace_rows(trace, root)]
         print(json.dumps(payload, allow_nan=False))
     elif args.format == "csv":
-        _write_csv(TRACE_COLUMNS, trace_rows(trace, root), args.out)
+        _write_csv(_TRACE_COLUMNS, trace_rows(trace, root), args.out)
         print(_describe(outcome), file=sys.stderr)
     else:
         print(f"problem:    {label}")
@@ -236,8 +236,8 @@ def _cmd_solve(args) -> int:
     return 0 if isinstance(outcome, Converged) else 2
 
 
-def bench_rows(tables: Sequence[int]) -> list[tuple]:
-    """One BENCH_COLUMNS row per (problem, start, method), in table order; NaN marks a blank."""
+def _bench_rows(tables: Sequence[int]) -> list[tuple]:
+    """One _BENCH_COLUMNS row per (problem, start, method), in table order; NaN marks a blank."""
     rows = []
     for table in tables:
         problems = corpus.table1_problems() if table == 1 else corpus.table2_problems()
@@ -253,14 +253,14 @@ def bench_rows(tables: Sequence[int]) -> list[tuple]:
 
 def _cmd_bench(args) -> int:
     tables = {"1": (1,), "2": (2,), "all": (1, 2)}[args.table]
-    rows = bench_rows(tables)
+    rows = _bench_rows(tables)
     if args.format == "json":
         import json
 
-        cells = [dict(zip(BENCH_COLUMNS, map(_json_cell, row))) for row in rows]
+        cells = [dict(zip(_BENCH_COLUMNS, map(_json_cell, row))) for row in rows]
         _write(json.dumps(cells, indent=2, allow_nan=False) + "\n", args.out)
     else:
-        _write_csv(BENCH_COLUMNS, rows, args.out)
+        _write_csv(_BENCH_COLUMNS, rows, args.out)
     return 0
 
 

@@ -21,15 +21,7 @@ __all__ = [
     "ExpectedResult",
     "Problem",
     "ProblemFileError",
-    "ROOT_BASIN_MISMATCH",
-    "START_UNCERTAIN",
-    "TABLE_METHODS",
-    "builtin_problems",
-    "find_problem",
-    "iteration_count",
     "load_problems",
-    "table1_problems",
-    "table2_problems",
 ]
 
 
@@ -37,12 +29,6 @@ ExpectedResult = namedtuple("ExpectedResult", "label count", defaults=(None,))
 ExpectedResult.__doc__ = """A benchmark-table cell: the outcome label the paper reports (a str, an
 Outcome.label), and its iteration count (an int) when that label is converged,
 else None."""
-
-
-def iteration_count(n: int) -> ExpectedResult:
-    if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
-        raise ValueError(f"iteration count must be a positive integer, got {n!r}")
-    return ExpectedResult(Converged.label, n)
 
 
 # name and source: strs; expression: the parsed source; reference_root: a float
@@ -56,12 +42,12 @@ class ProblemFileError(ValueError):
 
 
 # (problem name, start) pairs transcribed with a caveat:
-#  - START_UNCERTAIN: the table's start cell is illegible; 2.0 is a stand-in
+#  - _START_UNCERTAIN: the table's start cell is illegible; 2.0 is a stand-in
 #    and the row is excluded from golden-count checks.
-#  - ROOT_BASIN_MISMATCH: the printed root lies in a different basin than
+#  - _ROOT_BASIN_MISMATCH: the printed root lies in a different basin than
 #    the start, so root-identity assertions are skipped for the row.
-START_UNCERTAIN = frozenset({("sin(x)^2 - x^2 + 1", 2.0)})
-ROOT_BASIN_MISMATCH = frozenset({("(x - 2) * (x + 2)^4", 1.4)})
+_START_UNCERTAIN = frozenset({("sin(x)^2 - x^2 + 1", 2.0)})
+_ROOT_BASIN_MISMATCH = frozenset({("(x - 2) * (x + 2)^4", 1.4)})
 
 # the paper's words for a failed run, as written in its tables and in
 # problem files
@@ -78,7 +64,9 @@ TABLE_METHODS = (Method.SECANT, Method.NEWTON, Method.TWO_POINT)
 def _cell(value) -> ExpectedResult:
     if isinstance(value, str):
         return _CELLS[value]
-    return iteration_count(value)
+    if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
+        raise ValueError(f"iteration count must be a positive integer, got {value!r}")
+    return ExpectedResult(Converged.label, value)
 
 
 def _problem(name: str, root: float | None, rows: dict[float, tuple], source: str = "") -> Problem:
@@ -244,6 +232,8 @@ def load_problems(path: str | os.PathLike[str]) -> tuple[Problem, ...]:
             _fail(i, "expected", "must be an object keyed 'method@start'")
         for key, value in raw_expected.items():
             method, start = _parse_expected_key(i, key, starts)
+            if (method, start) in expected:
+                _fail(i, "expected", f"key {key!r} names the cell {method.value}@{start!r} a second time")
             expected[(method, start)] = _parse_expected_value(i, key, value)
         problems.append(Problem(name, source, expression, root, starts, expected))
     return tuple(problems)

@@ -33,19 +33,17 @@ __all__ = [
     "DomainError",
     "Dual",
     "Expression",
-    "FUNCTIONS",
     "Neg",
     "Number",
     "ParseError",
     "Variable",
     "eval_dual",
     "parse",
-    "render",
 ]
 
 FUNCTIONS = ("abs", "atan", "cbrt", "cos", "exp", "ln", "log10", "sin", "sqrt", "tan")
 
-CONSTANTS = {"pi": math.pi, "e": math.e}
+_CONSTANTS = {"pi": math.pi, "e": math.e}
 
 _LN10 = math.log(10.0)
 
@@ -82,11 +80,11 @@ class DomainError(ValueError):
 Number = namedtuple("Number", "value")  # value: a float
 Variable = namedtuple("Variable", ())
 Constant = namedtuple("Constant", "name")  # name: "pi" or "e"
-Neg = namedtuple("Neg", "operand")  # operand: a Node
-BinOp = namedtuple("BinOp", "op left right")  # op: one of + - * / ^; left, right: Nodes
-Call = namedtuple("Call", "func arg")  # func: a name in FUNCTIONS; arg: a Node
+Neg = namedtuple("Neg", "operand")  # operand: a node
+BinOp = namedtuple("BinOp", "op left right")  # op: one of + - * / ^; left, right: nodes
+Call = namedtuple("Call", "func arg")  # func: a name in FUNCTIONS; arg: a node
 
-Node = Number | Variable | Constant | Neg | BinOp | Call
+_Node = Number | Variable | Constant | Neg | BinOp | Call
 
 
 class _Frozen:
@@ -134,7 +132,7 @@ class Expression(_Frozen):
     _fields = ("root",)
 
     def __str__(self) -> str:
-        return render(self)
+        return _render(self)
 
     def __hash__(self) -> int:
         # a node hashes as the tuple of its fields, each child standing in by
@@ -211,8 +209,8 @@ def _error(text: str, index: int, message: str, expected: tuple[str, ...] = ()) 
 
 # --- operator-precedence parser ---------------------------------------------
 
-# Binding strength of each binary operator, for parse and render alike; a
-# unary minus binds at _NEG, and render treats an atom as 5.  ^ is
+# Binding strength of each binary operator, for parse and _render alike; a
+# unary minus binds at _NEG, and _render treats an atom as 5.  ^ is
 # right-associative, the others left-associative.
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 _NEG = 3
@@ -220,7 +218,7 @@ _NEG = 3
 _ATOM_EXPECTED = ("number", "'x'", "'pi'", "'e'", "function name", "'('")
 
 # the leaves a name stands for; the nodes are immutable, so trees share them
-_NAMED_LEAVES: dict[str, Node] = {"x": Variable(), "pi": Constant("pi"), "e": Constant("e")}
+_NAMED_LEAVES: dict[str, _Node] = {"x": Variable(), "pi": Constant("pi"), "e": Constant("e")}
 
 _FUNCTION_NAMES = frozenset(FUNCTIONS)
 
@@ -241,7 +239,7 @@ def parse(text: str) -> Expression:
     the text as it is raised, in _error.
     """
     tokens = _TOKEN_RE.findall(text)
-    nodes: list[Node] = []
+    nodes: list[_Node] = []
     ops: list[tuple[int, str]] = []
     i = 0
     while True:
@@ -311,14 +309,14 @@ def _num_text(value: float) -> str:
     return repr(value)
 
 
-def _postorder(root: Node) -> list[Node]:
+def _postorder(root: _Node) -> list[_Node]:
     """Every node of the tree in post-order: left subtree, right subtree, node.
 
     Built without recursion: the loop lists each node before its
     descendants, a right subtree before its left sibling, and the list is
     then reversed.
     """
-    order: list[Node] = []
+    order: list[_Node] = []
     todo = [root]
     while todo:
         node = todo.pop()
@@ -342,8 +340,8 @@ def _operand(rendered: tuple[str, int], required: int) -> str:
     return f"({text})" if prec < required else text
 
 
-def render(expr: Expression) -> str:
-    """Canonical text form; ``parse(render(e))`` reproduces parser-built trees.
+def _render(expr: Expression) -> str:
+    """Canonical text form; ``parse(str(e))`` reproduces parser-built trees.
 
     Builds (text, precedence) pairs on a stack in post-order, without
     recursion; an atom or a call has precedence 5.
@@ -641,7 +639,7 @@ def _chain(item: _Fn | tuple[float, float]) -> _Fn:
     return MethodType(_dual_constant, item) if type(item) is tuple else item
 
 
-def _compile(root: Node) -> _Fn:
+def _compile(root: _Node) -> _Fn:
     """Closure chain of a tree, built without recursion: the closures are
     built on a stack in post-order, where a folded subtree is a pair."""
     built: list[_Fn | tuple[float, float]] = []
@@ -665,7 +663,7 @@ def _compile(root: Node) -> _Fn:
             built.append(_dual_x)
             continue
         else:
-            value = node.value if kind is Number else CONSTANTS[node.name]
+            value = node.value if kind is Number else _CONSTANTS[node.name]
             # a non-finite literal raises when evaluated, not here
             built.append((value, 0.0) if _isfinite(value) else MethodType(_dual_non_finite, value))
             continue

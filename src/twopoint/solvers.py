@@ -38,12 +38,7 @@ __all__ = [
     "SeedingError",
     "SolverConfig",
     "Trace",
-    "classify",
-    "newton_step",
-    "secant_step",
-    "seed_second_point",
     "solve",
-    "twopoint_step",
 ]
 
 _NAN = math.nan
@@ -89,9 +84,9 @@ class SolverConfig(_Frozen):
 
     ``delta_rel`` sizes every perturbation: the PERTURB seed, the
     GUARDED_NEWTON fallback and the two-point nudge.  It must be finite and
-    nonzero.  The classification thresholds are module constants:
-    DIVERGENCE_BOUND, CYCLE_PERIOD_MAX, CYCLE_TOL_REL and CYCLE_MIN_ITERS,
-    and MAX_HALVINGS for GUARDED_NEWTON.
+    nonzero, and ``max_iter`` an int of at least 2.  The classification
+    thresholds are module constants: DIVERGENCE_BOUND, CYCLE_PERIOD_MAX,
+    CYCLE_TOL_REL and CYCLE_MIN_ITERS, and MAX_HALVINGS for GUARDED_NEWTON.
     """
 
     __slots__ = _fields = ("tol", "max_iter", "seed", "delta_rel")
@@ -101,6 +96,9 @@ class SolverConfig(_Frozen):
             raise ValueError("delta must be finite and nonzero")
         if not (math.isfinite(tol) and tol > 0.0):
             raise ValueError("tol must be finite and positive")
+        # a float budget such as nan never runs out, and a bool is not one
+        if not isinstance(max_iter, int) or isinstance(max_iter, bool):
+            raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
         if max_iter < 2:
             raise ValueError("max_iter must be at least 2")
         super().__init__(tol, max_iter, seed, delta_rel)

@@ -2,8 +2,9 @@
 
 Runs the tier-1 suite in this process under a ``sys.settrace`` line tracer,
 then prints each executable line of ``src/twopoint/*.py`` that no test
-reached, grouped by file, and a count.  It reports and does not gate, and a
-run takes about a minute, so it is run by hand from the repository root::
+reached, grouped by file, and a count.  It reports and does not gate: it
+exits 0, and CI prints its census on one Python version.  A run takes about
+a minute, from the repository root::
 
     PYTHONPATH=src python tests/reach.py [pytest arguments]
 

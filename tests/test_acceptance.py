@@ -14,12 +14,12 @@ from conftest import (
 )
 from twopoint.analysis import ck_sequence, error_sequence
 from twopoint.corpus import (
-    ROOT_BASIN_MISMATCH,
-    START_UNCERTAIN,
     builtin_problems,
     find_problem,
     table1_problems,
     table2_problems,
+    _ROOT_BASIN_MISMATCH,
+    _START_UNCERTAIN,
 )
 from twopoint.expressions import eval_dual, parse
 from twopoint.solvers import (
@@ -54,7 +54,7 @@ def test_criterion_1_table1_two_point_convergence():
     for prob in table1_problems():
         for start in prob.starts:
             row = (prob.name, start)
-            if row in START_UNCERTAIN:
+            if row in _START_UNCERTAIN:
                 continue
             trace = solve(prob.expression, Method.TWO_POINT, start)
             label = f"{prob.name} from {start}"
@@ -62,7 +62,7 @@ def test_criterion_1_table1_two_point_convergence():
                 failures.append(f"{label}: {trace.outcome.label}")
                 continue
             root = trace.outcome.root
-            if row in ROOT_BASIN_MISMATCH:
+            if row in _ROOT_BASIN_MISMATCH:
                 residual = eval_dual(prob.expression, root).value
                 if abs(residual) > ROOT_TOL:
                     failures.append(f"{label}: residual {residual:g}")

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twopoint import corpus
-from twopoint.cli import TRACE_COLUMNS, _ArgumentParser, _write_csv, main, trace_rows
+from twopoint.cli import _TRACE_COLUMNS, _ArgumentParser, _write_csv, main, trace_rows
 from twopoint.solvers import solve
 
 
@@ -163,7 +163,7 @@ def test_trace_row_is_its_record_plus_two_cells():
                     rows = trace_rows(trace, root)
                     assert len(rows) == len(trace.records)
                     for row, rec in zip(rows, trace.records):
-                        assert len(row) == len(TRACE_COLUMNS) and None not in row
+                        assert len(row) == len(_TRACE_COLUMNS) and None not in row
                         assert type(row[0]) is int and row[0] == rec.k
                         assert list(map(float.hex, row[1:5])) == list(map(float.hex, rec[1:]))
                         if root is None:

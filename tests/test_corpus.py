@@ -7,13 +7,13 @@ from twopoint.corpus import (
     ProblemFileError,
     builtin_problems,
     find_problem,
-    iteration_count,
     load_problems,
     table1_problems,
     table2_problems,
+    _cell,
 )
 from twopoint.expressions import eval_dual, parse
-from twopoint.solvers import Diverged, Method
+from twopoint.solvers import Converged, Diverged, Method
 
 
 def test_reference_roots_are_transcribed_correctly():
@@ -45,7 +45,7 @@ def test_tables_partition_builtins():
 
 def test_expected_cells():
     log_mix = find_problem("x - 3 * ln(x)")
-    assert log_mix.expected[(Method.TWO_POINT, 2.0)] == iteration_count(4)
+    assert log_mix.expected[(Method.TWO_POINT, 2.0)] == ExpectedResult(Converged.label, 4)
     cube = find_problem("cbrt(x)")
     assert cube.expected[(Method.NEWTON, 1.0)] == ExpectedResult(Diverged.label)
     arctan = find_problem("atan(x)")
@@ -69,9 +69,9 @@ def test_find_problem_searches_extra_before_builtins():
 
 def test_iteration_count_validation():
     with pytest.raises(ValueError):
-        iteration_count(0)
+        _cell(0)
     with pytest.raises(ValueError):
-        iteration_count(True)
+        _cell(True)
 
 
 # --- problem files ------------------------------------------------------------
@@ -145,6 +145,8 @@ def test_load_entry_matches_builtin(tmp_path):
         ({"name": "t", "expr": "x", "starts": [3.0], "expected": {"newton@nan": 3}}, "expected"),
         ({"name": "t", "expr": "x", "starts": [3.0], "expected": {"twopoint@inf": 3}}, "expected"),
         ({"name": "t", "expr": "x", "starts": [3.0], "expected": {"secant@9": 3}}, "expected"),
+        # and no two keys name the same cell
+        ({"name": "t", "expr": "x", "starts": [3.0], "expected": {"newton@3": 5, "newton@3.0": "diverges"}}, "expected"),
     ],
 )
 def test_load_schema_violations(tmp_path, entry, field):

@@ -1,4 +1,6 @@
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,30 @@ def test_star_import_yields_exactly_the_documented_names():
     exec("from twopoint import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == ["Method", "ck_sequence", "error_sequence", "load_problems", "parse", "solve"]
+
+
+def _readme_reference():
+    # the rows of README's reference table: | `twopoint.module` | `Name` | ...
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table: dict[str, list[str]] = {}
+    for module, cell in re.findall(r"^\| `(twopoint\.\w+)` \| ([^|]*) \|", readme, re.MULTILINE):
+        table.setdefault(module, []).extend(re.findall(r"`(\w+)`", cell))
+    return table
+
+
+SUBMODULES = ("twopoint.expressions", "twopoint.solvers", "twopoint.analysis", "twopoint.corpus")
+
+
+def test_readme_reference_table_lists_the_submodules():
+    assert sorted(_readme_reference()) == sorted(SUBMODULES)
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_readme_reference_table_is_the_modules_all(name):
+    module = importlib.import_module(name)
+    names = _readme_reference()[name]
+    assert sorted(names) == sorted(module.__all__)
+    assert [n for n in names if not hasattr(module, n)] == []
 
 
 def _modules_cli_import_adds(names):

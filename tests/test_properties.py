@@ -28,7 +28,6 @@ from twopoint.expressions import (
     Variable,
     eval_dual,
     parse,
-    render,
 )
 from twopoint.solvers import Method, Outcome, Seed, SeedingError, SolverConfig, solve
 
@@ -81,7 +80,7 @@ def _depth_at_most(depth: int):
 @given(_depth_at_most(6).map(Expression))
 @settings(derandomize=True, deadline=None, max_examples=500)
 def test_parse_inverts_render(expr):
-    assert parse(render(expr)) == expr
+    assert parse(str(expr)) == expr
 
 
 # arbitrary Unicode text mixed with pieces of the grammar, so that some

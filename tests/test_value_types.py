@@ -195,6 +195,9 @@ DEFAULTS = {"tol": 1e-15, "max_iter": 1000, "seed": Seed.PERTURB, "delta_rel": 1
         {"delta_rel": 0.0},
         {"delta_rel": math.nan},
         {"delta_rel": -math.inf},
+        {"max_iter": math.nan},
+        {"max_iter": math.inf},
+        {"max_iter": 2.5},
     ],
 )
 def test_invalid_solver_config_raises_however_it_is_built(invalid):
