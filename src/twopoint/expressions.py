@@ -9,11 +9,13 @@ functions ``sin cos tan exp ln log10 atan sqrt cbrt abs``.
 Evaluation is forward-mode automatic differentiation: every node carries a
 (value, derivative) pair and the exact sum/product/quotient/chain rules
 propagate both.  Leaving the real domain raises :class:`DomainError`
-instead of producing NaN silently.  An expression is compiled into a chain
-of closures on its first evaluation, and the chain is cached on it; a
+instead of producing NaN silently.  An expression evaluates through a
+chain of closures: ``parse`` builds it as it reads the text, and an
+Expression built from a tree compiles it on its first evaluation.  A
 subtree without ``x`` is worked out once then, and a constant right
-operand is bound into its parent's rule as a (value, deriv) pair.
-``parse`` shares one immutable leaf per name between trees.
+operand is bound into its parent's rule as a (value, deriv) pair.  A
+parsed expression reads its tree from the text when first asked for it,
+and such trees share one immutable leaf per name.
 """
 
 from __future__ import annotations
@@ -152,6 +154,11 @@ class Expression(_Frozen):
         return done[0]
 
     @cached_property
+    def root(self) -> _Node:
+        # Expression(root) sets root, and parse sets _text and _compiled
+        return _read(self._text, _NAMED_LEAVES, Number, Neg, BinOp, Call)
+
+    @cached_property
     def _compiled(self) -> _Fn:
         # cached_property writes the instance __dict__ directly; eq, hash,
         # repr, pickle and copy read only the tree
@@ -226,6 +233,22 @@ _FUNCTION_NAMES = frozenset(FUNCTIONS)
 def parse(text: str) -> Expression:
     """Parse expression text into the unique tree given by the grammar.
 
+    The Expression keeps the closure chain _read builds, and reads its tree
+    from the text again when first asked for it.
+    """
+    expr = Expression.__new__(Expression)
+    chain = _read(text, _CHAIN_LEAVES, _chain_number, _chain_neg, _chain_binop, _chain_call)
+    vars(expr).update(_text=text, _compiled=_chain(chain))
+    return expr
+
+
+def _read(text: str, leaves: dict, number: Callable, neg: Callable, binop: Callable, call: Callable):
+    """What the builders make of the parse tree of ``text``, bottom-up.
+
+    ``leaves`` maps the names x, pi and e to leaves, and ``number(value)``,
+    ``neg(operand)``, ``binop(op, left, right)`` and ``call(func, arg)``
+    build each other node from its children: a tree node, or a closure.
+
     One loop over the token texts, without recursion, so parentheses nest
     without limit.  It keeps parsed nodes on one stack and pending
     operators on another as (precedence, operator) pairs, with precedence
@@ -239,7 +262,7 @@ def parse(text: str) -> Expression:
     the text as it is raised, in _error.
     """
     tokens = _TOKEN_RE.findall(text)
-    nodes: list[_Node] = []
+    nodes = []
     ops: list[tuple[int, str]] = []
     i = 0
     while True:
@@ -258,8 +281,8 @@ def parse(text: str) -> Expression:
         if tok == "-":
             ops.append((_NEG, "neg"))
             continue
-        if tok in _NAMED_LEAVES:
-            nodes.append(_NAMED_LEAVES[tok])
+        if tok in leaves:
+            nodes.append(leaves[tok])
         elif tok[:1] in _NAME_START:
             raise _error(text, i - 1, f"unknown identifier {tok!r}")
         else:
@@ -272,7 +295,7 @@ def parse(text: str) -> Expression:
                 raise _error(text, i - 1, message, _ATOM_EXPECTED) from None
             if not math.isfinite(value):
                 raise _error(text, i - 1, "number literal out of range")
-            nodes.append(Number(value))
+            nodes.append(number(value))
         # expect an operator; a ")" closes a group and expects another
         while True:
             tok = tokens[i]
@@ -282,22 +305,22 @@ def parse(text: str) -> Expression:
             while ops and ops[-1][0] >= bound:
                 op = ops.pop()[1]
                 if op == "neg":
-                    nodes[-1] = Neg(nodes[-1])
+                    nodes[-1] = neg(nodes[-1])
                 else:
                     right = nodes.pop()
-                    nodes[-1] = BinOp(op, nodes[-1], right)
+                    nodes[-1] = binop(op, nodes[-1], right)
             if prec is not None:
                 ops.append((prec, tok))
                 break
             if not ops:
                 if not tok:
-                    return Expression(nodes[0])
+                    return nodes[0]
                 raise _error(text, i - 1, f"unexpected {tok!r} after expression")
             if tok != ")":
                 raise _error(text, i - 1, "unbalanced parenthesis", ("')'",))
             opened = ops.pop()[1]
             if opened != "(":
-                nodes[-1] = Call(opened, nodes[-1])
+                nodes[-1] = call(opened, nodes[-1])
 
 
 # --- rendering --------------------------------------------------------------
@@ -373,16 +396,18 @@ def _render(expr: Expression) -> str:
 
 # --- evaluation -------------------------------------------------------------
 #
-# An Expression compiles once, on its first evaluation, into a chain of
-# closures, each a callable x -> (value, deriv).  A node's closure is the
-# rule for its kind bound with MethodType to its children's closures; the
-# rule calls them, left before right, and applies the sum, product,
-# quotient or chain rule.  The closures do what a recursive walk of the tree
-# would do, float operation for float operation.  A bound method is cheaper
-# to create, call and free than a nested function.
+# An Expression evaluates through a chain of closures, each a callable
+# x -> (value, deriv), built once: by parse as it reads the text, or by
+# _compile from the tree on the first evaluation of Expression(root).  Both
+# build each node through the same chain builder below.  A node's closure
+# is the rule for its kind bound with MethodType to its children's
+# closures; the rule calls them, left before right, and applies the sum,
+# product, quotient or chain rule.  The closures do what a recursive walk
+# of the tree would do, float operation for float operation.  A bound
+# method is cheaper to create, call and free than a nested function.
 #
 # The chain keeps only the nodes that read x.  A subtree without x is
-# folded when compiling: its rule runs once on its children's (value,
+# folded when building: its rule runs once on its children's (value,
 # deriv) pairs, so it costs no call per evaluation and no level of
 # recursion.  Each BinOp rule takes its right operand either as a closure
 # or, when that operand folded, as the bound pair itself, which it reads
@@ -639,38 +664,65 @@ def _chain(item: _Fn | tuple[float, float]) -> _Fn:
     return MethodType(_dual_constant, item) if type(item) is tuple else item
 
 
+# The chain builder, for _read and _compile: each item it builds is a
+# closure, or the (value, deriv) pair of a subtree that folded.
+_CHAIN_LEAVES = {"x": _dual_x, **{name: (value, 0.0) for name, value in _CONSTANTS.items()}}
+
+
+def _fold(rule, bound):
+    # a rule on pairs alone runs now; one that raises stays a chain
+    try:
+        return rule(bound, 0.0)
+    except DomainError:
+        return MethodType(rule, bound)
+
+
+def _chain_number(value: float):
+    # a non-finite literal raises when evaluated, not here
+    return (value, 0.0) if _isfinite(value) else MethodType(_dual_non_finite, value)
+
+
+def _chain_neg(operand):
+    if type(operand) is tuple:
+        return _fold(_dual_neg, MethodType(_dual_constant, operand))
+    return MethodType(_dual_neg, operand)
+
+
+def _chain_call(func: str, arg):
+    rule = _CALL_RULES[func]
+    if type(arg) is tuple:
+        return _fold(rule, MethodType(_dual_constant, arg))
+    return MethodType(rule, arg)
+
+
+def _chain_binop(op: str, left, right):
+    rule = _BINOP_RULES[op]
+    if type(left) is tuple:
+        left = MethodType(_dual_constant, left)
+        if type(right) is tuple:
+            return _fold(rule, (left, None, *right))
+    if type(right) is tuple:
+        return MethodType(rule, (left, None, *right))
+    return MethodType(rule, (left, right, 0.0, 0.0))
+
+
 def _compile(root: _Node) -> _Fn:
-    """Closure chain of a tree, built without recursion: the closures are
-    built on a stack in post-order, where a folded subtree is a pair."""
+    """Closure chain of a tree, built without recursion: the chain builder
+    runs on the nodes in post-order, on a stack of the items it built."""
     built: list[_Fn | tuple[float, float]] = []
     for node in _postorder(root):
         kind = type(node)
         if kind is BinOp:
             right = built.pop()
-            left = built[-1]
-            if type(right) is tuple:
-                folds, bound = type(left) is tuple, (_chain(left), None, *right)
-            else:
-                folds, bound = False, (_chain(left), right, 0.0, 0.0)
-            rule = _BINOP_RULES[node.op]
-        elif kind is Call or kind is Neg:
-            rule = _dual_neg if kind is Neg else _CALL_RULES[node.func]
-            bound = built[-1]
-            folds = type(bound) is tuple
-            if folds:
-                bound = MethodType(_dual_constant, bound)
-        elif kind is Variable:
-            built.append(_dual_x)
-            continue
+            built[-1] = _chain_binop(node.op, built[-1], right)
+        elif kind is Call:
+            built[-1] = _chain_call(node.func, built[-1])
+        elif kind is Neg:
+            built[-1] = _chain_neg(built[-1])
+        elif kind is Number:
+            built.append(_chain_number(node.value))
         else:
-            value = node.value if kind is Number else _CONSTANTS[node.name]
-            # a non-finite literal raises when evaluated, not here
-            built.append((value, 0.0) if _isfinite(value) else MethodType(_dual_non_finite, value))
-            continue
-        try:  # a rule on pairs alone runs now; one that raises stays a chain
-            built[-1] = rule(bound, 0.0) if folds else MethodType(rule, bound)
-        except DomainError:
-            built[-1] = MethodType(rule, bound)
+            built.append(_CHAIN_LEAVES["x" if kind is Variable else node.name])
     return _chain(built[0])
 
 

@@ -84,7 +84,8 @@ class SolverConfig(_Frozen):
 
     ``delta_rel`` sizes every perturbation: the PERTURB seed, the
     GUARDED_NEWTON fallback and the two-point nudge.  It must be finite and
-    nonzero, and ``max_iter`` an int of at least 2.  The classification
+    nonzero, ``tol`` finite and positive, neither a bool, ``max_iter`` an
+    int of at least 2 and ``seed`` a Seed.  The classification
     thresholds are module constants: DIVERGENCE_BOUND, CYCLE_PERIOD_MAX,
     CYCLE_TOL_REL and CYCLE_MIN_ITERS, and MAX_HALVINGS for GUARDED_NEWTON.
     """
@@ -92,10 +93,13 @@ class SolverConfig(_Frozen):
     __slots__ = _fields = ("tol", "max_iter", "seed", "delta_rel")
 
     def __init__(self, tol: float = 1e-15, max_iter: int = 1000, seed: Seed = Seed.PERTURB, delta_rel: float = 1e-4):
-        if not (math.isfinite(delta_rel) and delta_rel != 0.0):
+        if isinstance(delta_rel, bool) or not (math.isfinite(delta_rel) and delta_rel != 0.0):
             raise ValueError("delta must be finite and nonzero")
-        if not (math.isfinite(tol) and tol > 0.0):
+        if isinstance(tol, bool) or not (math.isfinite(tol) and tol > 0.0):
             raise ValueError("tol must be finite and positive")
+        # a value Seed does not name would run as PERTURB
+        if not isinstance(seed, Seed):
+            raise ValueError(f"seed must be a Seed, got {seed!r}")
         # a float budget such as nan never runs out, and a bool is not one
         if not isinstance(max_iter, int) or isinstance(max_iter, bool):
             raise ValueError(f"max_iter must be an integer, got {max_iter!r}")

@@ -478,6 +478,11 @@ def _constant_rich(depth: int):
 @settings(derandomize=True, deadline=None, max_examples=1500)
 def test_compiled_chain_matches_generic_rules_bit_for_bit(expr):
     _assert_matches_reference(expr, X_POINTS)
+    # the chain parse builds as it reads, against its tree read afterwards;
+    # an infinite literal renders as inf, a name parse rejects
+    text = str(expr)
+    if "inf" not in text:
+        _assert_matches_reference(parse(text), X_POINTS)
 
 
 _EDGE_CASES = [
@@ -511,16 +516,34 @@ def test_specialized_rules_match_generic_rules_at_edges(expr):
 # --- the compiled form cached on each Expression ---------------------------
 
 
-def test_expression_compiles_once_on_first_evaluation():
-    expr = parse("sin(x) * exp(x) + ln(x^2 + 1) - x^x / cbrt(x)")
-    assert "_compiled" not in vars(expr)  # parsing compiles nothing
-    first = eval_dual(expr, 0.37)
-    chain = vars(expr)["_compiled"]
-    second = eval_dual(expr, 0.37)
-    assert vars(expr)["_compiled"] is chain
+def _assert_bit_identical(first, second):
     assert first == second
     assert _hex(first.value) == _hex(second.value)
     assert _hex(first.deriv) == _hex(second.deriv)
+
+
+def test_parse_compiles_and_reads_its_tree_on_first_use():
+    text = "sin(x) * exp(x) + ln(x^2 + 1) - x^x / cbrt(x)"
+    expr = parse(text)
+    assert "_compiled" in vars(expr) and "root" not in vars(expr)
+    chain = vars(expr)["_compiled"]
+    first = eval_dual(expr, 0.37)
+    assert "root" not in vars(expr)
+    sin_exp = BinOp("*", Call("sin", Variable()), Call("exp", Variable()))
+    ln_term = Call("ln", BinOp("+", BinOp("^", Variable(), Number(2.0)), Number(1.0)))
+    quotient = BinOp("/", BinOp("^", Variable(), Variable()), Call("cbrt", Variable()))
+    tree = BinOp("-", BinOp("+", sin_exp, ln_term), quotient)
+    assert expr.root == tree
+    assert vars(expr)["root"] is expr.root
+    _assert_bit_identical(first, eval_dual(expr, 0.37))
+    assert vars(expr)["_compiled"] is chain
+
+    built = Expression(tree)
+    assert "_compiled" not in vars(built)  # built by hand: compiled on first evaluation
+    _assert_bit_identical(eval_dual(built, 0.37), first)
+    chain = vars(built)["_compiled"]
+    _assert_bit_identical(eval_dual(built, 0.37), first)
+    assert vars(built)["_compiled"] is chain
 
 
 def test_cached_expression_still_equals_a_fresh_parse():

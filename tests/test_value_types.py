@@ -198,6 +198,10 @@ DEFAULTS = {"tol": 1e-15, "max_iter": 1000, "seed": Seed.PERTURB, "delta_rel": 1
         {"max_iter": math.nan},
         {"max_iter": math.inf},
         {"max_iter": 2.5},
+        {"seed": "guarded-newton"},
+        {"seed": None},
+        {"tol": True},
+        {"delta_rel": True},
     ],
 )
 def test_invalid_solver_config_raises_however_it_is_built(invalid):
