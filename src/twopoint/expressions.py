@@ -15,7 +15,9 @@ Expression built from a tree compiles it on its first evaluation.  A
 subtree without ``x`` is worked out once then, and a constant right
 operand is bound into its parent's rule as a (value, deriv) pair.  A
 parsed expression reads its tree from the text when first asked for it,
-and such trees share one immutable leaf per name.
+and such trees share one immutable leaf per name.  Each Expression also
+remembers a few recent evaluations, so a point evaluated again returns
+the Dual it gave before without running the chain.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import re
 import sys
 from collections import namedtuple
 from collections.abc import Callable
-from functools import cached_property
+from functools import cached_property, partial
 from types import MethodType
 
 __all__ = [
@@ -124,7 +126,7 @@ class _Frozen:
 
     def __reduce__(self):
         # pickle and copy rebuild through __init__: a SolverConfig is checked
-        # again, and an Expression leaves its compiled chain behind
+        # again, and an Expression leaves its compiled chain and memo behind
         return type(self), self._values()
 
 
@@ -164,9 +166,19 @@ class Expression(_Frozen):
         # repr, pickle and copy read only the tree
         return _compile(self.root)
 
+    @cached_property
+    def _memo(self) -> dict[float, Dual]:
+        # eval_dual's recent results by point; like _compiled, unseen by eq,
+        # hash, repr, pickle and copy
+        return {}
+
 
 Dual = namedtuple("Dual", "value deriv")
 Dual.__doc__ = """Value and derivative with respect to ``x`` at the evaluation point, two floats."""
+
+# _new_dual((value, deriv)) is Dual(value, deriv) built by tuple.__new__
+# alone, without the frame of namedtuple's __new__
+_new_dual = partial(tuple.__new__, Dual)
 
 
 # --- tokenizer --------------------------------------------------------------
@@ -726,14 +738,39 @@ def _compile(root: _Node) -> _Fn:
     return _chain(built[0])
 
 
+# the most evaluations an Expression remembers
+_MEMO_SIZE = 16
+
+
 def eval_dual(expr: Expression, x: float) -> Dual:
-    """Evaluate value and derivative at ``x``.
+    """Evaluate value and derivative at ``x``; an int is taken as its float.
 
     A non-finite derivative (e.g. cbrt at 0) is returned as-is when it is
     the final result; it raises :class:`DomainError` only when consumed by
     further arithmetic, where it would degrade into NaN.
+
+    The expression remembers up to _MEMO_SIZE results, each under its exact
+    nonzero point, and returns the remembered Dual when a point repeats.
+    0.0 and -0.0 are one dict key but give different bits, so neither is
+    remembered.  Nor is an error: it is raised again at every call.
+    Threads sharing the expression each store whole entries, and equal
+    ones.
     """
-    if not math.isfinite(x):
+    memo = expr._memo
+    dual = memo.get(x)
+    if dual is not None:
+        return dual
+    try:
+        finite = _isfinite(x)
+    except OverflowError:
+        raise ValueError("evaluation point must be finite, got a number beyond the float range") from None
+    if not finite:
         raise ValueError(f"evaluation point must be finite, got {x!r}")
-    v, d = expr._compiled(x)
-    return Dual(v, d)
+    x = float(x)
+    dual = _new_dual(expr._compiled(x))
+    if x:
+        # >= rather than ==: two threads storing at once may pass the size
+        if len(memo) >= _MEMO_SIZE:
+            memo.clear()
+        memo[x] = dual
+    return dual

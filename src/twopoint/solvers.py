@@ -219,6 +219,19 @@ def twopoint_step(x_prev: float, y_prev: float, x_cur: float, y_cur: float, dy_c
     return x_prev - _ieee_div(x_prev - x_cur, r), r
 
 
+def _start(x: float) -> float:
+    """A start as a float: 3 runs as 3.0.  A bool raises ValueError, as a bool
+    tol does, and so does a number beyond the float range, as a non-finite
+    start does; what is no number raises TypeError, as in eval_dual."""
+    if isinstance(x, bool):
+        raise ValueError(f"a start must be a number, not the bool {x!r}")
+    try:
+        math.isfinite(x)
+        return float(x)
+    except OverflowError:
+        raise ValueError("a start must be finite, got a number beyond the float range") from None
+
+
 def _eval_ok(expr: Expression, x: float) -> bool:
     try:
         eval_dual(expr, x)
@@ -322,10 +335,15 @@ def solve(
     the others.  x1 is ignored for Newton and seeded per ``config.seed`` when
     absent.  A two-point step between coincident points is replaced by a
     Newton step, and one that returns exactly to x_{k-1} is nudged by
-    ``config.delta_rel``.  A non-finite x0 raises ValueError; for the
-    two-seed methods so does a non-finite x1 or x1 == x0, unless x0 is a root.
+    ``config.delta_rel``.  The starts run as floats.  A non-finite x0 raises
+    ValueError; for the two-seed methods so does a non-finite x1 or x1 == x0,
+    unless x0 is a root.  A bool start, or one beyond the float range,
+    raises ValueError too.
     """
     config = config or DEFAULT_CONFIG
+    x0 = _start(x0)
+    if x1 is not None:
+        x1 = _start(x1)
     newton, secant = method is Method.NEWTON, method is Method.SECANT
     seeds = _SEEDS[method]
     records: list[IterationRecord] = []

@@ -140,6 +140,22 @@ def test_eval_dual_edge_points_are_bit_identical():
         assert got == expected, (text, x)
 
 
+def test_a_warm_expression_traces_as_a_fresh_parse():
+    # the pins run on the shared expressions only, whose memos earlier runs
+    # warmed; here each cell runs twice on its problem's expression and once
+    # on a fresh parse, and all three must agree to the last bit
+    cells = 0
+    for prob in builtin_problems():
+        for start in prob.starts:
+            for method in Method:
+                runs = [solve(prob.expression, method, start) for _ in range(2)]
+                runs.append(solve(parse(prob.source), method, start))
+                entries = {(trace_entry(trace), repr(trace.outcome)) for trace in runs}
+                assert len(entries) == 1, (prob.name, start, method)
+                cells += 1
+    assert cells == 87
+
+
 if __name__ == "__main__":
     from pins import check_or_record
 

@@ -5,6 +5,7 @@ import random
 import struct
 import subprocess
 import sys
+import threading
 from types import MethodType
 
 import pytest
@@ -184,15 +185,24 @@ def test_underflowing_quotient_rule_with_zero_numerator_is_zero():
 
 
 def test_determinism():
-    expr = parse("sin(x) * exp(x) + ln(x^2 + 1)")
-    a = eval_dual(expr, 0.37)
-    b = eval_dual(expr, 0.37)
+    # two expressions, so the second evaluation runs its chain, not the memo
+    a = eval_dual(parse("sin(x) * exp(x) + ln(x^2 + 1)"), 0.37)
+    b = eval_dual(parse("sin(x) * exp(x) + ln(x^2 + 1)"), 0.37)
     assert (a.value, a.deriv) == (b.value, b.deriv)
 
 
 def test_eval_requires_finite_point():
-    with pytest.raises(ValueError):
-        eval_dual(parse("x"), math.inf)
+    # an int beyond the float range is as non-finite as inf
+    for x in (math.inf, math.nan, 10**400, -(10**400)):
+        with pytest.raises(ValueError):
+            eval_dual(parse("x"), x)
+
+
+def test_an_int_point_is_taken_as_its_float():
+    for text in ("x", "x^2 - 2", "7"):
+        got = eval_dual(parse(text), 3)
+        assert [type(v) for v in got] == [float, float], text
+        _assert_bit_identical(got, eval_dual(parse(text), 3.0))
 
 
 # --- errors carry positions ---------------------------------------------------
@@ -636,3 +646,96 @@ def test_every_rule_returns_a_finite_value_and_a_derivative_that_is_not_nan():
             if not _rule_keeps_invariant(rule, (left, right, 0.0, 0.0))
         ]
         assert not bad, (op, bad[:5])
+
+
+# --- the memo of recent evaluations ------------------------------------------
+
+_MEMO_TEXT = "sin(x) * exp(x) + ln(x^2 + 1) - x^x / cbrt(x)"
+
+
+def _memo_len(expr) -> int:
+    return len(vars(expr).get("_memo", ()))
+
+
+def test_a_repeated_point_has_a_fresh_evaluations_bits():
+    expr = parse(_MEMO_TEXT)
+    points = [0.37, 1.5, 2.0, 1e-300, 0.37, 2.0, 1.5]
+    for x in points + points:
+        _assert_bit_identical(eval_dual(expr, x), eval_dual(parse(_MEMO_TEXT), x))
+    assert _memo_len(expr) == 4
+
+
+@pytest.mark.parametrize("first, second", [(-0.0, 0.0), (0.0, -0.0)], ids=["-0 then 0", "0 then -0"])
+def test_signed_zeros_keep_their_own_bits(first, second):
+    # 0.0 and -0.0 are one dict key, but -x differs at them
+    expr = parse("-x")
+    for x in (first, second, first, second):
+        _assert_bit_identical(eval_dual(expr, x), eval_dual(parse("-x"), x))
+    assert _hex(eval_dual(expr, 0.0).value) != _hex(eval_dual(expr, -0.0).value)
+
+
+def test_the_memo_stays_bounded():
+    expr = parse("x^2 - 2")
+    for i in range(1000):
+        eval_dual(expr, 1.0 + i / 7)
+        assert _memo_len(expr) <= 16
+
+
+def test_an_error_is_raised_on_every_repeat():
+    expr = parse("ln(x)")
+    for _ in range(3):
+        with pytest.raises(DomainError) as info:
+            eval_dual(expr, -1.0)
+        assert (info.value.kind, info.value.arg) == ("ln", -1.0)
+        for x in (math.inf, math.nan, 10**400):
+            with pytest.raises(ValueError, match="evaluation point must be finite"):
+                eval_dual(expr, x)
+    assert _memo_len(expr) == 0
+
+
+def test_a_warm_expression_is_like_a_fresh_one():
+    warm = parse(_MEMO_TEXT)
+    points = [0.37 + i / 5 for i in range(20)]
+    want = [eval_dual(warm, x) for x in points]
+    assert _memo_len(warm) > 0
+    fresh = parse(_MEMO_TEXT)
+    assert warm == fresh
+    assert hash(warm) == hash(fresh)
+    assert repr(warm) == repr(fresh)
+    assert str(warm) == str(fresh)
+    for clone in (pickle.loads(pickle.dumps(warm)), copy.deepcopy(warm), copy.copy(warm)):
+        assert clone == warm
+        assert _memo_len(clone) == 0
+        for x, dual in zip(points, want):
+            _assert_bit_identical(eval_dual(clone, x), dual)
+
+
+def test_threads_sharing_an_expression_get_one_threads_bits():
+    # 4 threads, more than the points the memo holds, and a short switch
+    # interval: a thread that read another's half-stored entry would differ
+    expr = parse(_MEMO_TEXT)
+    points = [0.1 + i / 9 for i in range(40)]
+    want = [_outcome(lambda x: tuple(eval_dual(parse(_MEMO_TEXT), x)), x) for x in points]
+    wrong = []
+
+    def evaluate():
+        for _ in range(25):
+            for x, bits in zip(points, want):
+                got = _outcome(lambda x: tuple(eval_dual(expr, x)), x)
+                if got != bits:
+                    wrong.append((x, got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=evaluate) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong, wrong[:5]
+    # each other thread may store once between a thread's size test and its store
+    assert _memo_len(expr) <= 16 + 3

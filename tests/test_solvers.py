@@ -1,5 +1,6 @@
 import math
 import statistics
+import struct
 
 import pytest
 from conftest import bisect_root, multiple_root_rate, step_numbering_holds
@@ -282,17 +283,34 @@ def test_x1_equal_to_root_start_converges():
     assert trace.outcome == Converged(2.0, 0)
 
 
+# a bool is no start, and an int beyond the float range is as non-finite as inf
+_BAD_STARTS = (math.inf, math.nan, True, False, 10**400, -(10**400))
+
+
 def test_non_finite_start_raises():
-    for x0 in (math.inf, math.nan):
+    for x0 in _BAD_STARTS:
         with pytest.raises(ValueError):
             solve(parse("x^2 - 2"), Method.NEWTON, x0)
 
 
 @pytest.mark.parametrize("method", [Method.SECANT, Method.TWO_POINT], ids=lambda m: m.value)
 def test_non_finite_x1_raises(method):
-    for x1 in (math.inf, math.nan):
+    for x1 in _BAD_STARTS:
         with pytest.raises(ValueError):
             solve(parse("x^2 - 2"), method, 3.0, x1=x1)
+
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_an_int_start_runs_as_its_float(method):
+    def bits(trace):
+        return [(rec.k, *(struct.pack("<d", v) for v in rec[1:])) for rec in trace.records]
+
+    for x1 in (None, 4):
+        got = solve(parse("x^2 - 2"), method, 3, x1=x1)
+        want = solve(parse("x^2 - 2"), method, 3.0, x1=None if x1 is None else 4.0)
+        assert bits(got) == bits(want)
+        assert got.outcome == want.outcome
+        assert {type(v) for rec in got.records for v in rec[1:]} == {float}
 
 
 def test_domain_failure_at_explicit_x1():
